@@ -14,6 +14,7 @@ circle.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -145,6 +146,48 @@ def chords_cross(a1: int, b1: int, a2: int, b2: int) -> bool:
     inside1 = a1 < a2 < b1
     inside2 = a1 < b2 < b1
     return inside1 != inside2
+
+
+def crossing_pairs(spans) -> list[tuple[int, int]]:
+    """All index pairs (i, j), i < j, whose chords cross, sorted.
+
+    Equal to filtering itertools.combinations(range(len(spans)), 2) by
+    chords_cross, spans given as (a, b) with a <= b.  Two chords cross
+    iff a_i < a_j < b_i < b_j, so a sweep by left end that keeps the
+    right ends of the still-open chords in a sorted list finds each
+    crossing pair by bisection: O(P log P + K log K) comparisons for P
+    chords and K crossing pairs.
+    """
+    order = sorted(range(len(spans)), key=lambda i: spans[i][0])
+    open_ends: list[tuple[int, int]] = []  # (right end, index), sorted
+    out = []
+    for a, group in itertools.groupby(order, key=lambda i: spans[i][0]):
+        group = list(group)
+        del open_ends[:bisect_right(open_ends, (a, len(spans)))]
+        for j in group:
+            hi = bisect_left(open_ends, (spans[j][1], -1))
+            out.extend((i, j) if i < j else (j, i)
+                       for _, i in open_ends[:hi])
+        for j in group:
+            insort(open_ends, (spans[j][1], j))
+    out.sort()
+    return out
+
+
+def same_page_crossings(spans, pages) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, of crossing chords on one page, sorted.
+
+    One crossing_pairs scan per page, so the cost is that of the scans.
+    """
+    by_page: dict[int, list[int]] = {}
+    for i, page in enumerate(pages):
+        by_page.setdefault(page, []).append(i)
+    out = []
+    for idx in by_page.values():
+        out.extend((idx[x], idx[y])
+                   for x, y in crossing_pairs([spans[i] for i in idx]))
+    out.sort()
+    return out
 
 
 def _passage_partner(dart: int) -> int:
@@ -517,13 +560,10 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
 def _page_conflicts(seq: BindingSequence) -> list[tuple[int, int]]:
     """Pairs of same-page arcs whose chords cross; empty means planar."""
     pos = {p.id: i for i, p in enumerate(seq.points)}
-    chords = []
+    spans = []
     for a in seq.arcs:
         x, y = pos[a.ends[0].point], pos[a.ends[1].point]
-        chords.append((min(x, y), max(x, y), PAGE_BY_TYPE[a.type], a.id))
-    out = []
-    for (a1, b1, g1, i1), (a2, b2, g2, i2) in \
-            itertools.combinations(chords, 2):
-        if g1 == g2 and chords_cross(a1, b1, a2, b2):
-            out.append((i1, i2))
-    return out
+        spans.append((min(x, y), max(x, y)))
+    pages = [PAGE_BY_TYPE[a.type] for a in seq.arcs]
+    return [(seq.arcs[i].id, seq.arcs[j].id)
+            for i, j in same_page_crossings(spans, pages)]

@@ -156,7 +156,8 @@ class PlaneDiagram:
         A crossing carrying a loop edge counts as a cut point: the loop is
         its own block, so the crossing separates it from the rest.  With
         that convention a reduced diagram has four pairwise distinct edges
-        at every crossing and a 2-connected underlying graph.
+        at every crossing and a 2-connected underlying graph.  O(n): one
+        articulation-point pass over the underlying graph.
         """
         if not self.is_connected():
             raise DiagramError("is_reduced requires a connected diagram")
@@ -164,23 +165,7 @@ class PlaneDiagram:
             return False
         if self.n <= 2:
             return True
-        for v in range(self.n):
-            if self._disconnects(v):
-                return False
-        return True
-
-    def _disconnects(self, v: int) -> bool:
-        adj = self._adjacency()
-        rest = [u for u in range(self.n) if u != v]
-        seen = {rest[0]}
-        queue = [rest[0]]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w != v and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) != len(rest)
+        return not articulation_points(set(range(self.n)), self._adjacency())
 
     def __repr__(self):
         inner = ", ".join("X" + str(row) for row in self.crossings)
@@ -195,6 +180,53 @@ class PlaneDiagram:
 
     def __hash__(self):
         return hash(self.crossings)
+
+
+def articulation_points(verts: set[int], adj) -> set[int]:
+    """Cut vertices of the induced subgraph on verts (assumed connected).
+
+    One iterative Hopcroft-Tarjan depth-first pass, O(V + E log deg) with
+    the per-vertex neighbor sort.  adj maps each vertex to an iterable of
+    neighbors; repeated neighbors (parallel edges) are harmless.
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    parent: dict[int, int | None] = {}
+    out: set[int] = set()
+    counter = 0
+    root = min(verts)
+    stack = []
+    parent[root] = None
+    disc[root] = low[root] = counter
+    counter += 1
+    stack.append((root, iter(sorted(u for u in adj[root] if u in verts))))
+    root_children = 0
+    while stack:
+        v, it = stack[-1]
+        advanced = False
+        for u in it:
+            if u not in disc:
+                parent[u] = v
+                disc[u] = low[u] = counter
+                counter += 1
+                if v == root:
+                    root_children += 1
+                stack.append(
+                    (u, iter(sorted(w for w in adj[u] if w in verts))))
+                advanced = True
+                break
+            elif u != parent[v]:
+                low[v] = min(low[v], disc[u])
+        if not advanced:
+            stack.pop()
+            p = parent[v]
+            if p is not None:
+                low[p] = min(low[p], low[v])
+                if p != root and low[v] >= disc[p]:
+                    out.add(p)
+    if root_children > 1:
+        out.add(root)
+    return out
 
 
 def parse_pd(text: str) -> PlaneDiagram:

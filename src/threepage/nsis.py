@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .cells import DualGraph
+from .diagram import articulation_points
 from .errors import DiagramError
 
 
@@ -76,49 +77,6 @@ def _connected(verts: set[int], adj: dict[int, frozenset[int]]) -> bool:
     return seen == verts
 
 
-def _articulation_points(verts: set[int],
-                         adj: dict[int, frozenset[int]]) -> set[int]:
-    """Cut vertices of the induced subgraph on verts (assumed connected)."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    out: set[int] = set()
-    counter = 0
-    root = min(verts)
-    stack = []
-    parent[root] = None
-    disc[root] = low[root] = counter
-    counter += 1
-    stack.append((root, iter(sorted(u for u in adj[root] if u in verts))))
-    root_children = 0
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for u in it:
-            if u not in disc:
-                parent[u] = v
-                disc[u] = low[u] = counter
-                counter += 1
-                if v == root:
-                    root_children += 1
-                stack.append(
-                    (u, iter(sorted(w for w in adj[u] if w in verts))))
-                advanced = True
-                break
-            elif u != parent[v]:
-                low[v] = min(low[v], disc[u])
-        if not advanced:
-            stack.pop()
-            p = parent[v]
-            if p is not None:
-                low[p] = min(low[p], low[v])
-                if p != root and low[v] >= disc[p]:
-                    out.add(p)
-    if root_children > 1:
-        out.add(root)
-    return out
-
-
 def is_nsis(graph: SimpleGraph, subset) -> bool:
     """Independent, and removal leaves a non-empty connected rest."""
     chosen = frozenset(subset)
@@ -162,14 +120,14 @@ def nsis_exact(graph: SimpleGraph, budget: int = 10_000_000) -> NsisResult:
         with_v = chosen | {v}
         residual = verts - with_v
         if residual and _connected(residual, adj):
-            cut = _articulation_points(residual, adj)
+            cut = articulation_points(residual, adj)
             keep = [u for u in rest if u not in adj[v] and u not in cut]
             descend(with_v, keep)
             if state["exhausted"]:
                 return
         descend(chosen, rest)
 
-    start_cut = _articulation_points(verts, adj) if len(verts) > 1 else set()
+    start_cut = articulation_points(verts, adj) if len(verts) > 1 else set()
     descend(frozenset(), [v for v in order if v not in start_cut])
     return NsisResult(size=best[0], vertices=best[1],
                       exact=not state["exhausted"], nodes=state["nodes"])

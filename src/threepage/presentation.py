@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .binding import (INSIDE_OVER, INSIDE_UNDER, OUTSIDE, PAGE_BY_TYPE,
-                      BindingSequence, chords_cross)
+                      BindingSequence, crossing_pairs, same_page_crossings)
 from .diagram import PlaneDiagram, crossing_of, rotate, slot_of, \
     strand_slot_type
 from .errors import VerificationError
@@ -160,7 +160,11 @@ def to_presentation(seq: BindingSequence) -> ThreePagePresentation:
 
 
 def verify_pages(pres: ThreePagePresentation) -> PageReport:
-    """Book-embedding well-formedness; never raises."""
+    """Book-embedding well-formedness; never raises.
+
+    O(P log P) for P chords: degrees and page labels in one pass, then
+    one crossing_pairs scan per page for planarity.
+    """
     bad_deg: list[str] = []
     bad_pages: list[str] = []
     bad_planar: list[str] = []
@@ -186,12 +190,12 @@ def verify_pages(pres: ThreePagePresentation) -> PageReport:
                 f"point {pid} joins two page-{here[0].page} arcs "
                 f"({here[0].arc}, {here[1].arc})")
 
-    spans = [(pres.span(ch), ch) for ch in pres.chords
-             if ch.a in known and ch.b in known]
-    for ((a1, b1), c1), ((a2, b2), c2) in itertools.combinations(spans, 2):
-        if c1.page == c2.page and chords_cross(a1, b1, a2, b2):
-            bad_planar.append(f"page-{c1.page} arcs {c1.arc} and {c2.arc} "
-                              f"interleave")
+    placed = [ch for ch in pres.chords if ch.a in known and ch.b in known]
+    for i, j in same_page_crossings([pres.span(ch) for ch in placed],
+                                    [ch.page for ch in placed]):
+        c1, c2 = placed[i], placed[j]
+        bad_planar.append(f"page-{c1.page} arcs {c1.arc} and {c2.arc} "
+                          f"interleave")
 
     offenders = tuple(bad_deg + bad_pages + bad_planar)
     return PageReport(ok=not offenders,
@@ -206,18 +210,16 @@ def interleaving_pairs(
     """Indices of (page-1, page-2) chord pairs that cross.
 
     For an unrepaired presentation of an n-crossing diagram there are
-    exactly n such pairs, one per crossing.
+    exactly n such pairs, one per crossing.  Sorted by page-1 index, then
+    page-2 index; one crossing_pairs scan over the chords of both pages.
     """
-    ones = [i for i, c in enumerate(pres.chords) if c.page == 1]
-    twos = [i for i, c in enumerate(pres.chords) if c.page == 2]
+    inside = [i for i, c in enumerate(pres.chords) if c.page in (1, 2)]
     out = []
-    for i in ones:
-        a1, b1 = pres.span(pres.chords[i])
-        for j in twos:
-            a2, b2 = pres.span(pres.chords[j])
-            if chords_cross(a1, b1, a2, b2):
-                out.append((i, j))
-    return tuple(out)
+    for x, y in crossing_pairs([pres.span(pres.chords[i]) for i in inside]):
+        i, j = inside[x], inside[y]
+        if pres.chords[i].page != pres.chords[j].page:
+            out.append((i, j) if pres.chords[i].page == 1 else (j, i))
+    return tuple(sorted(out))
 
 
 def overlay_reconstruct(pres: ThreePagePresentation) -> OverlayResult:
@@ -251,20 +253,17 @@ def overlay_reconstruct(pres: ThreePagePresentation) -> OverlayResult:
                              diagram=PlaneDiagram([]))
 
     # Pair up the inside chords; the pairing must be a bijection.
+    hits: dict[int, list[int]] = {i: [] for i in ones}
+    for i, j in interleaving_pairs(pres):
+        hits[i].append(j)
     partner: dict[int, int] = {}
     for i in ones:
-        a1, b1 = pres.span(pres.chords[i])
-        hits = []
-        for j in twos:
-            a2, b2 = pres.span(pres.chords[j])
-            if chords_cross(a1, b1, a2, b2):
-                hits.append(j)
-        if len(hits) != 1:
+        if len(hits[i]) != 1:
             return OverlayResult(
                 supported=False,
                 reason=f"page-1 arc {pres.chords[i].arc} interleaves "
-                       f"{len(hits)} page-2 arcs, expected exactly 1")
-        partner[i] = hits[0]
+                       f"{len(hits[i])} page-2 arcs, expected exactly 1")
+        partner[i] = hits[i][0]
     if len(set(partner.values())) != len(twos) or len(ones) != len(twos):
         return OverlayResult(
             supported=False,

@@ -36,6 +36,57 @@ class SearchResult:
     nodes: int
 
 
+class _Forest:
+    """Union-find over crossings, plus the edges of the faces added so far.
+
+    Dict-backed, so a fresh forest costs nothing until crossings are
+    touched.  Starting from all crossings and no edges, every component
+    has Euler characteristic 1; add_face keeps that invariant, which is
+    exactly the feasibility criterion of face_set_feasible.
+    """
+
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+        self.used: set[int] = set()
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the components of a and b; False if they already agree."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+    def add_face(self, f: int, cx: CellComplex) -> bool:
+        """Add face f if the face set stays feasible; report whether it did.
+
+        Its edges must be unused, and its crossings must lie in exactly
+        |edges(f)| components: the merged component then has chi =
+        k - |edges(f)| + 1 = 1, and every other component keeps chi = 1.
+        O(|f|) amortized.
+        """
+        edges = cx.face_edges(f)
+        if any(e in self.used for e in edges):
+            return False
+        roots = {self.find(v) for v in cx.face_vertices(f)}
+        if len(roots) != len(edges):
+            return False
+        self.used.update(edges)
+        first = roots.pop()
+        for r in roots:
+            self.parent[r] = first
+        return True
+
+
 @dataclass(frozen=True)
 class Witness:
     """Two tree edges at a shared crossing and a feasible face pair."""
@@ -57,22 +108,9 @@ def spanning_tree(cx: CellComplex, strategy: str = "bfs",
     if strategy == "random":
         order = list(range(d.edge_count))
         random.Random(seed).shuffle(order)
-        parent = list(range(d.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        chosen = []
-        for e in order:
-            a, b = d.edge_endpoints(e)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                chosen.append(e)
-        return frozenset(chosen)
+        forest = _Forest()
+        return frozenset(e for e in order
+                         if forest.union(*d.edge_endpoints(e)))
 
     if strategy not in ("bfs", "dfs"):
         raise DiagramError(f"unknown spanning tree strategy: {strategy}")
@@ -124,7 +162,10 @@ def face_set_feasible(faces, cx: CellComplex) -> bool:
     component of (all vertices, their boundaries, the faces) has Euler
     characteristic 1.  Components with a cycle can never be completed:
     bridging edges only merge components, they cannot kill homology.
-    The subcomplex-enumeration oracle validates this criterion.
+    The subcomplex-enumeration oracle validates this criterion, and this
+    function, rebuilding every component in O(n) per call, is in turn the
+    test oracle for the incremental _Forest.add_face that the greedy and
+    witness searches use.
     """
     faces = frozenset(faces)
     if not _pairwise_edge_disjoint(faces, cx):
@@ -145,32 +186,14 @@ def complete_to_est(faces, cx: CellComplex) -> ExtendedSpanningTree:
     if not face_set_feasible(faces, cx):
         raise DiagramError("face set is not feasible")
     edges = set(_boundary_edges(faces, cx))
-    comps = subcomplex_components(
-        Subcomplex(vertices=frozenset(range(cx.n)),
-                   edges=frozenset(edges), faces=faces), cx)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp.vertices:
-            comp_of[v] = i
-
-    parent = list(range(len(comps)))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     d = cx.diagram
+    forest = _Forest()
+    for e in edges:
+        forest.union(*d.edge_endpoints(e))
     for e in range(d.edge_count):
-        if e in edges:
-            continue
-        a, b = d.edge_endpoints(e)
-        ra, rb = root(comp_of[a]), root(comp_of[b])
-        if ra != rb:
-            parent[ra] = rb
+        if e not in edges and forest.union(*d.edge_endpoints(e)):
             edges.add(e)
-    if len({root(i) for i in range(len(comps))}) != 1:
+    if len({forest.find(v) for v in range(cx.n)}) != 1:
         raise InternalError("could not bridge face components")
     est = ExtendedSpanningTree(edges=frozenset(edges), faces=faces)
     if len(est.edges) != cx.n + len(faces) - 1:
@@ -194,11 +217,16 @@ def _face_order(cx: CellComplex, order: str, seed: int) -> list[int]:
 
 def greedy_max_faces(cx: CellComplex, order: str = "by-size",
                      seed: int = 0) -> ExtendedSpanningTree:
-    """Grow a feasible face set greedily, then bridge it."""
-    chosen: set[int] = set()
-    for f in _face_order(cx, order, seed):
-        if face_set_feasible(chosen | {f}, cx):
-            chosen.add(f)
+    """Grow a feasible face set greedily, then bridge it.
+
+    Each candidate face is tested incrementally by _Forest.add_face in
+    amortized O(|f| log n), so with the face ordering the search is
+    O(n log n); complete_to_est then runs the O(n) face_set_feasible
+    oracle once on the result.
+    """
+    forest = _Forest()
+    chosen = [f for f in _face_order(cx, order, seed)
+              if forest.add_face(f, cx)]
     return complete_to_est(chosen, cx)
 
 
@@ -258,20 +286,9 @@ def oracle_max_faces(cx: CellComplex) -> int:
     all_edges = range(d.edge_count)
 
     def connects(edge_set) -> bool:
-        parent = list(range(d.n))
-
-        def root(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in edge_set:
-            a, b = d.edge_endpoints(e)
-            ra, rb = root(a), root(b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({root(v) for v in range(d.n)}) == 1
+        forest = _Forest()
+        return sum(forest.union(*d.edge_endpoints(e))
+                   for e in edge_set) == d.n - 1
 
     for m in range(cx.face_count, -1, -1):
         for faces in itertools.combinations(range(cx.face_count), m):
@@ -297,6 +314,10 @@ def witness_pair(cx: CellComplex) -> Witness:
     faces share no edge and their face set is feasible.  The returned
     edges are part of a spanning tree by construction (two distinct
     non-loop, non-parallel adjacent edges always extend to one).
+
+    Each (fa, fb) pair is tested on a fresh _Forest in O(|fa| + |fb|),
+    not by an O(n) face_set_feasible rebuild; at most 24 pairs are tried
+    per crossing, after an O(n) is_reduced check.
     """
     d = cx.diagram
     if d.n < 3:
@@ -317,9 +338,8 @@ def witness_pair(cx: CellComplex) -> Witness:
                 for fb in cx.edge_sides(eb):
                     if fa == fb:
                         continue
-                    if set(cx.face_edges(fa)) & set(cx.face_edges(fb)):
-                        continue
-                    if face_set_feasible({fa, fb}, cx):
+                    forest = _Forest()
+                    if forest.add_face(fa, cx) and forest.add_face(fb, cx):
                         return Witness(edge_a=ea, edge_b=eb,
                                        face_a=fa, face_b=fb)
     raise InternalError(

@@ -43,6 +43,29 @@ def torus_pd(k: int) -> str:
     return "PD[" + ", ".join("X(%d,%d,%d,%d)" % r for r in rows) + "]"
 
 
+def braid_closure_pd(word, strands: int) -> str:
+    """PD code of the closure of a braid word on `strands` strands.
+
+    Entry +k is the generator s_k on strand positions k-1 and k, -k its
+    inverse.  With incoming labels a, b and fresh outgoing labels c, d,
+    s_k becomes X(a,b,d,c) and its inverse X(b,d,c,a); closing the braid
+    renames each strand's final label to its initial one.
+    """
+    current = list(range(1, strands + 1))
+    fresh = strands + 1
+    rows = []
+    for g in word:
+        i = abs(g) - 1
+        a, b = current[i], current[i + 1]
+        c, d = fresh, fresh + 1
+        fresh += 2
+        rows.append((a, b, d, c) if g > 0 else (b, d, c, a))
+        current[i], current[i + 1] = c, d
+    rename = {final: start for start, final in enumerate(current, start=1)}
+    rows = [tuple(rename.get(lab, lab) for lab in row) for row in rows]
+    return "PD[" + ", ".join("X(%d,%d,%d,%d)" % r for r in rows) + "]"
+
+
 def switch_crossing(pd_text: str, idx: int) -> str:
     d = tp.parse_pd(pd_text)
     rows = [list(r) for r in d.crossings]

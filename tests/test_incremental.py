@@ -1,0 +1,229 @@
+"""The near-linear tests of the default pipeline against their references.
+
+Incremental face feasibility, the one-pass is_reduced and the sweep
+chord-crossing scan each replaced a slower test that is still in the
+code or spelled out here; both must give the same answers on corpus
+diagrams and on generated braid closures, switched crossings included.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import threepage as tp
+from threepage import binding, presentation, spanning
+from threepage.binding import chords_cross, crossing_pairs
+from threepage.spanning import face_set_feasible
+
+from conftest import (CORPUS_TEXTS, HOPF, KINK, TWO_CLASPS, braid_closure_pd,
+                      disjoint_union, switch_crossing, torus_pd)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, settings = hypothesis.given, hypothesis.settings
+
+ORDERS = ("by-size", "by-dual-degree", "random")
+
+
+def reference_greedy(cx, order, seed):
+    chosen = set()
+    for f in spanning._face_order(cx, order, seed):
+        if face_set_feasible(chosen | {f}, cx):
+            chosen.add(f)
+    return frozenset(chosen)
+
+
+def reference_witness(cx):
+    d = cx.diagram
+    incident = [[] for _ in range(d.n)]
+    for e in range(d.edge_count):
+        a, b = d.edge_endpoints(e)
+        incident[a].append(e)
+        incident[b].append(e)
+    for c in range(d.n):
+        for ea, eb in itertools.combinations(sorted(set(incident[c])), 2):
+            if set(d.edge_endpoints(ea)) == set(d.edge_endpoints(eb)):
+                continue
+            for fa in cx.edge_sides(ea):
+                for fb in cx.edge_sides(eb):
+                    if fa != fb and face_set_feasible({fa, fb}, cx):
+                        return tp.Witness(edge_a=ea, edge_b=eb,
+                                          face_a=fa, face_b=fb)
+    return None
+
+
+def reference_is_reduced(d):
+    """No loop edge and, for n >= 3, no crossing whose removal disconnects."""
+    if d.loop_edges():
+        return False
+    if d.n <= 2:
+        return True
+    adj = [set() for _ in range(d.n)]
+    for e in range(d.edge_count):
+        a, b = d.edge_endpoints(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    for v in range(d.n):
+        start = 1 if v == 0 else 0
+        seen, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()] - seen - {v}:
+                seen.add(w)
+                stack.append(w)
+        if len(seen) != d.n - 1:
+            return False
+    return True
+
+
+def reference_crossing_pairs(spans):
+    return [(i, j) for i, j in itertools.combinations(range(len(spans)), 2)
+            if chords_cross(*spans[i], *spans[j])]
+
+
+def components(text):
+    return tp.parse_pd(text).connected_components()
+
+
+@st.composite
+def closures(draw, max_n=20):
+    """Connected braid closures: random signs, some crossings switched."""
+    strands = draw(st.integers(2, 5))
+    gens = list(range(1, strands))
+    extra = draw(st.lists(st.integers(1, strands - 1),
+                          max_size=max_n - len(gens)))
+    word = draw(st.permutations(gens + extra))
+    signs = draw(st.lists(st.booleans(), min_size=len(word),
+                          max_size=len(word)))
+    text = braid_closure_pd([g if s else -g for g, s in zip(word, signs)],
+                            strands)
+    for k in draw(st.sets(st.integers(0, len(word) - 1))):
+        text = switch_crossing(text, k)
+    return text
+
+
+FIXED = sorted(CORPUS_TEXTS.values()) + [
+    KINK, HOPF, TWO_CLASPS, torus_pd(9),
+    braid_closure_pd([1, 1, 2, 2, -1, 3, -2, 3], 4),
+    braid_closure_pd([1, -2, 1, -2, 1], 3),
+    braid_closure_pd([1, 2, 3, 1, 2, 3, 1, 2, 3], 4),
+    switch_crossing(braid_closure_pd([1, -2, 1, -2, 1, -2], 3), 2),
+    disjoint_union(KINK, torus_pd(5)),
+]
+FIXED_DIAGRAMS = [d for text in FIXED for d in components(text)]
+
+
+def check_greedy(d, seed):
+    cx = tp.CellComplex(d)
+    for order in ORDERS:
+        est = tp.greedy_max_faces(cx, order=order, seed=seed)
+        assert est.faces == reference_greedy(cx, order, seed), order
+
+
+def check_witness(d):
+    if d.n < 3 or not d.is_reduced():
+        return
+    cx = tp.CellComplex(d)
+    want = reference_witness(cx)
+    if want is None:
+        with pytest.raises(tp.InternalError):
+            tp.witness_pair(cx)
+    else:
+        assert tp.witness_pair(cx) == want
+
+
+@pytest.mark.parametrize("k", range(len(FIXED_DIAGRAMS)))
+def test_fixed_cases_match_references(k):
+    d = FIXED_DIAGRAMS[k]
+    assert d.is_reduced() == reference_is_reduced(d)
+    check_greedy(d, seed=k)
+    check_witness(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closures(), st.integers(0, 2**16))
+def test_greedy_matches_reference(text, seed):
+    for d in components(text):
+        check_greedy(d, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closures())
+def test_witness_matches_reference(text):
+    for d in components(text):
+        check_witness(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closures(max_n=12))
+def test_is_reduced_matches_cut_vertex_definition(text):
+    for d in components(text):
+        assert d.is_reduced() == reference_is_reduced(d)
+
+
+@pytest.mark.parametrize("text, reduced", [
+    (KINK, False),                                    # n = 1, loop edges
+    (braid_closure_pd([1, 2], 3), False),             # n = 2, loop edges
+    (HOPF, True),                                     # n = 2, no loops
+    (braid_closure_pd([1, 1], 2), True),
+    (braid_closure_pd([1, 1, 2], 3), False),          # n = 3, one kink
+    (braid_closure_pd([1, 1, 2, 3, 3], 4), False),    # cut crossing, no loop
+    (TWO_CLASPS, True),                               # composite, 2-connected
+])
+def test_is_reduced_small_cases(text, reduced):
+    d = tp.parse_pd(text)
+    assert d.is_reduced() is reduced
+    assert reference_is_reduced(d) is reduced
+
+
+spans_strategy = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
+        lambda t: (min(t), max(t))), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans_strategy)
+def test_crossing_pairs_matches_pairwise(spans):
+    assert crossing_pairs(spans) == reference_crossing_pairs(spans)
+
+
+def test_crossing_pairs_shared_endpoints():
+    spans = [(0, 2), (1, 3), (2, 3), (0, 3), (1, 1), (0, 2), (1, 2), (2, 4)]
+    assert crossing_pairs(spans) == reference_crossing_pairs(spans)
+    assert crossing_pairs([(0, 2), (0, 2)]) == []
+    assert crossing_pairs([(1, 3), (0, 2)]) == [(0, 1)]
+    rng = random.Random(3)
+    for _ in range(50):
+        spans = [tuple(sorted((rng.randrange(40), rng.randrange(40))))
+                 for _ in range(60)]
+        assert crossing_pairs(spans) == reference_crossing_pairs(spans)
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_default_path_makes_no_quadratic_calls(monkeypatch):
+    cx = tp.CellComplex(tp.parse_pd(torus_pd(41)))
+    feasible = counting(monkeypatch, spanning, "face_set_feasible")
+    est = tp.greedy_max_faces(cx)
+    assert len(feasible) == 1    # the oracle inside complete_to_est
+    tp.witness_pair(cx)
+    assert len(feasible) == 1
+
+    crossed = counting(monkeypatch, binding, "chords_cross")
+    # also count calls through a name imported into presentation
+    monkeypatch.setattr(presentation, "chords_cross", binding.chords_cross,
+                        raising=False)
+    seq = tp.boundary_sequence(est, cx)
+    pres = tp.to_presentation(tp.repair(seq, cx.diagram))
+    assert tp.verify_pages(pres).ok
+    assert crossed == []
