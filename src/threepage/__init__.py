@@ -4,13 +4,16 @@ Pipeline: parse a PD code, build the cell complex of the diagram, pick
 an extended spanning tree (maximizing the face count m), walk the
 boundary of its neighborhood into a binding circle with 3n+1-m points,
 optionally repair mergeable cut points, and verify the resulting
-circular three-page presentation independently.  The dual-graph NSIS
-reformulation and brute-force oracles cross-check the search layers.
+circular three-page presentation independently.  `certify(component,
+RunConfig(...))` runs these steps once each on a connected diagram and
+returns them all in a `Certificate`; the CLI formats certificates.  The
+dual-graph NSIS reformulation and brute-force oracles cross-check the
+search layers.
 """
 
 from .binding import (ARC_TYPES, PAGE_BY_TYPE, Arc, ArcEnd, BindingPoint,
-                      BindingReport, BindingSequence, boundary_sequence,
-                      chords_cross, repair, verify_binding)
+                      BindingReport, BindingSequence, chords_cross, repair,
+                      verify_binding)
 from .cells import (CellComplex, DualGraph, Subcomplex, complement_components,
                     euler_characteristic, is_closed, is_contractible,
                     subcomplex_components)
@@ -20,6 +23,7 @@ from .errors import (DiagramError, InternalError, PDSyntaxError,
                      VerificationError)
 from .nsis import (NsisResult, SimpleGraph, is_nsis, nsis_exact,
                    nsis_greedy_leafy, nsis_ratio_report)
+from .pipeline import Certificate, RunConfig, boundary_sequence, certify
 from .presentation import (Chord, OverlayResult, PageReport, RenderOptions,
                            ThreePagePresentation, interleaving_pairs,
                            overlay_reconstruct, render_svg, to_presentation,
@@ -34,13 +38,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ARC_TYPES", "PAGE_BY_TYPE",
     "Arc", "ArcEnd", "BindingPoint", "BindingReport", "BindingSequence",
-    "CellComplex", "Chord", "DiagramError", "DualGraph",
+    "CellComplex", "Certificate", "Chord", "DiagramError", "DualGraph",
     "ExtendedSpanningTree", "InternalError", "NsisResult", "OverlayResult",
     "PDSyntaxError", "PageReport", "PlaneDiagram", "RenderOptions",
-    "SearchResult", "SimpleGraph", "Subcomplex", "ThreePagePresentation",
-    "VerificationError", "Witness", "boundary_sequence", "canonical_form",
-    "chords_cross", "complement_components", "complete_to_est", "crossing_of",
-    "dart_id", "euler_characteristic", "exact_max_faces", "face_set_feasible",
+    "RunConfig", "SearchResult", "SimpleGraph", "Subcomplex",
+    "ThreePagePresentation", "VerificationError", "Witness",
+    "boundary_sequence", "canonical_form", "certify", "chords_cross",
+    "complement_components", "complete_to_est", "crossing_of", "dart_id",
+    "euler_characteristic", "exact_max_faces", "face_set_feasible",
     "greedy_max_faces", "interleaving_pairs", "is_closed", "is_contractible",
     "is_nsis", "nsis_exact", "nsis_greedy_leafy", "nsis_ratio_report",
     "oracle_max_faces", "overlay_reconstruct", "parse_pd", "render_svg",

@@ -128,10 +128,6 @@ class BindingReport:
     c2_coverage: bool
     c3_types: bool
     c4_alternation: bool
-    # Informational reading of condition 4 as "consecutive points along
-    # the circle"; generally fails even on valid output, which is why the
-    # shared-endpoint reading above is the binding one.
-    consecutive_variant_ok: bool
     offenders: tuple[str, ...]
 
 
@@ -212,37 +208,14 @@ def _require_valid(est: ExtendedSpanningTree, cx: CellComplex) -> None:
         raise DiagramError("extended spanning tree is not contractible")
 
 
-def boundary_sequence(est: ExtendedSpanningTree,
-                      cx: CellComplex) -> BindingSequence:
-    """Cut sequence of the neighborhood boundary walk around est.
+def corner_walk(est: ExtendedSpanningTree, cx: CellComplex,
+                side: int) -> BindingSequence:
+    """Unrepaired cut sequence of the boundary walk around est, 3n+1-m points.
 
-    The unrepaired sequence always has 3n+1-m points.  Edge cuts on tree
-    edges with two walk sides default to the first-traversed side; if the
-    repaired sequence fails verification or draws crossing chords inside
-    a page, the other side is tried once before giving up.
+    Edge cuts on tree edges with two walk sides go on the first-traversed
+    side when side is 0 and on the other one when side is 1.
     """
     _require_valid(est, cx)
-    d = cx.diagram
-    problems = []
-    for retry in (False, True):
-        seq = _corner_walk(est, cx, retry)
-        raw = verify_binding(seq, d)
-        if not (raw.c1_structure and raw.c2_coverage and raw.c3_types):
-            raise InternalError(
-                f"boundary walk broke its own contract: {raw.offenders}")
-        fixed = repair(seq, d)
-        report = verify_binding(fixed, d)
-        conflicts = _page_conflicts(fixed)
-        if report.ok and not conflicts:
-            return seq
-        problems.append(f"side {int(retry)}: "
-                        f"{report.offenders or conflicts}")
-    raise InternalError(
-        "binding circle invalid on both edge sides: " + "; ".join(problems))
-
-
-def _corner_walk(est: ExtendedSpanningTree, cx: CellComplex,
-                 retry: bool) -> BindingSequence:
     d = cx.diagram
     tree = est.edges
     points: list[BindingPoint] = []
@@ -293,7 +266,7 @@ def _corner_walk(est: ExtendedSpanningTree, cx: CellComplex,
                 designated[e] = sides[0]
             else:
                 first = first_side[e]
-                designated[e] = d.opposite(first) if retry else first
+                designated[e] = d.opposite(first) if side else first
 
         for u in orbit:
             e = d.edge_of(u)
@@ -347,31 +320,30 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
     removal merges the two arcs into one of the common type that passes
     both crossing runs, and drops one point.  A cut both of whose ends
     belong to one arc is left alone: removing it would close the arc into
-    a circle with no binding point at all.  Iterates to a fixed point and
-    is idempotent.
-    """
-    points = list(seq.points)
-    arcs = {a.id: a for a in seq.arcs}
+    a circle with no binding point at all.  Idempotent.
 
-    while True:
-        ends_at: dict[int, list[tuple[int, int]]] = {p.id: [] for p in points}
-        for a in arcs.values():
-            for k in (0, 1):
-                ends_at[a.ends[k].point].append((a.id, k))
-        removable = None
-        for p in points:
-            if p.kind != KIND_EDGE_CUT:
-                continue
-            (aid, i), (bid, j) = ends_at[p.id]
-            if aid == bid:
-                continue
-            if arcs[aid].type == arcs[bid].type:
-                removable = (p, aid, i, bid, j)
-                break
-        if removable is None:
-            break
-        p, aid, i, bid, j = removable
-        a, b = arcs[aid], arcs[bid]
+    One pass over the points in circle order.  A point that is not
+    removable never becomes so: the types at a cut do not change, and a
+    merge can only make its two ends belong to one arc.  So the pass
+    removes the same points, in the same order, as rescanning from the
+    start after every merge.  The two arcs at a cut are taken oldest
+    first, a merged arc counting as the newest.
+    """
+    arcs = {a.id: a for a in seq.arcs}
+    age = itertools.count()
+    rank = {aid: next(age) for aid in arcs}
+    ends_at: dict[int, list[tuple[int, int]]] = {p.id: [] for p in seq.points}
+    for a in seq.arcs:
+        for k in (0, 1):
+            ends_at[a.ends[k].point].append((a.id, k))
+    removed = set()
+    for p in seq.points:
+        if p.kind != KIND_EDGE_CUT:
+            continue
+        (aid, i), (bid, j) = sorted(ends_at[p.id], key=lambda e: rank[e[0]])
+        if aid == bid or arcs[aid].type != arcs[bid].type:
+            continue
+        a, b = arcs.pop(aid), arcs.pop(bid)
         a_darts, a_cross = a.darts, a.crossings
         a_far = a.ends[0]
         if i == 0:  # orient a so its cut end comes last
@@ -385,9 +357,15 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
         merged = Arc(id=min(aid, bid), type=a.type, ends=(a_far, b_far),
                      crossings=a_cross + b_cross,
                      darts=a_darts + b_darts, edge=None)
-        del arcs[aid], arcs[bid]
         arcs[merged.id] = merged
-        points = [q for q in points if q.id != p.id]
+        rank[merged.id] = next(age)
+        # Point the two far ends at the merged arc; find both entries
+        # first, since the far ends may share a point.
+        at_a, at_b = ends_at[a_far.point], ends_at[b_far.point]
+        ka, kb = at_a.index((aid, 1 - i)), at_b.index((bid, 1 - j))
+        at_a[ka], at_b[kb] = (merged.id, 0), (merged.id, 1)
+        removed.add(p.id)
+    points = [q for q in seq.points if q.id not in removed]
 
     return BindingSequence(
         points=tuple(points),
@@ -533,15 +511,6 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
             bad4.append(f"point {pid} joins arcs {a.id} and {b.id} "
                         f"of type {a.type}")
 
-    variant_ok = True
-    count = len(seq.points)
-    for i in range(count):
-        here = ends_at.get(seq.points[i].id, [])
-        there = ends_at.get(seq.points[(i + 1) % count].id, [])
-        for a, b in itertools.product(here, there):
-            if a.id != b.id and a.type == b.type:
-                variant_ok = False
-
     offenders = tuple(itertools.chain(
         (f"structure: {s}" for s in bad1),
         (f"coverage: {s}" for s in bad2),
@@ -553,17 +522,5 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
         c2_coverage=not bad2,
         c3_types=not bad3,
         c4_alternation=not bad4,
-        consecutive_variant_ok=variant_ok,
         offenders=offenders)
 
-
-def _page_conflicts(seq: BindingSequence) -> list[tuple[int, int]]:
-    """Pairs of same-page arcs whose chords cross; empty means planar."""
-    pos = {p.id: i for i, p in enumerate(seq.points)}
-    spans = []
-    for a in seq.arcs:
-        x, y = pos[a.ends[0].point], pos[a.ends[1].point]
-        spans.append((min(x, y), max(x, y)))
-    pages = [PAGE_BY_TYPE[a.type] for a in seq.arcs]
-    return [(seq.arcs[i].id, seq.arcs[j].id)
-            for i, j in same_page_crossings(spans, pages)]

@@ -19,16 +19,13 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
-from .binding import boundary_sequence, repair, verify_binding
-from .cells import CellComplex
 from .diagram import PlaneDiagram, parse_pd
-from .errors import DiagramError, InternalError, PDSyntaxError, VerificationError
+from .errors import DiagramError, InternalError, PDSyntaxError
 from .nsis import SimpleGraph, nsis_exact, nsis_greedy_leafy, nsis_ratio_report
-from .presentation import render_svg, to_presentation, verify_pages
-from .spanning import (ExtendedSpanningTree, exact_max_faces, greedy_max_faces,
-                       oracle_max_faces, spanning_tree, witness_pair)
+from .pipeline import RunConfig, certify
+from .presentation import render_svg
+from .spanning import exact_max_faces, oracle_max_faces, witness_pair
 
 OK, PARSE, VALIDATION, VERIFICATION = 0, 1, 2, 3
 
@@ -36,20 +33,6 @@ CSV_COLUMNS = ["name", "n", "components", "reduced", "alternating", "faces",
                "m", "m_mode", "points_before", "points_after", "bound",
                "verified", "oracle_m", "nsis_max", "nsis_greedy", "m_max",
                "witness", "failure", "notes"]
-
-
-@dataclass
-class RunConfig:
-    mode: str = "analyze"
-    exact: bool = False
-    budget: int = 10_000_000
-    seed: int = 0
-    repair: bool = True
-    extend: bool = True
-    oracle: bool = False
-    nsis: bool = False
-    fmt: str = "text"
-    svg_dir: str | None = None
 
 
 def read_entries(path: str) -> list[tuple[str, str, str | None]]:
@@ -71,50 +54,28 @@ def read_entries(path: str) -> list[tuple[str, str, str | None]]:
 
 
 def _component_report(comp: PlaneDiagram, config: RunConfig) -> dict:
-    cx = CellComplex(comp)
+    cert = certify(comp, config)
+    cx = cert.complex
     notes = []
     if comp.n <= 2:
         notes.append("n<=2: generic 3n+1-m count, no structural shortcuts")
-    if not config.extend:
-        est = ExtendedSpanningTree(edges=spanning_tree(cx, seed=config.seed),
-                                   faces=frozenset())
-        m_mode, exact_res = "tree-only", None
-    elif config.exact:
-        exact_res = exact_max_faces(cx, budget=config.budget)
-        est = exact_res.est
-        m_mode = "exact" if exact_res.exact else "exact(budget-hit)"
-    else:
-        est = greedy_max_faces(cx, seed=config.seed)
-        m_mode, exact_res = "greedy", None
-
-    seq = boundary_sequence(est, cx)
-    before = len(seq.points)
-    final = repair(seq, comp) if config.repair else seq
-    after = len(final.points)
-
-    report = verify_binding(final, comp)
-    pres = to_presentation(final)
-    pages = verify_pages(pres)
-    failures = []
-    if not report.ok:
-        failures.extend(report.offenders[:3])
-    if not pages.ok:
-        failures.extend("pages: " + off for off in pages.offenders[:3])
+    failures = list(cert.binding.offenders[:3])
+    failures.extend("pages: " + off for off in cert.pages.offenders[:3])
 
     out = {
         "n": comp.n,
         "reduced": comp.is_reduced(),
         "alternating": comp.is_alternating(),
         "faces": cx.face_count,
-        "m": len(est.faces),
-        "m_mode": m_mode,
-        "points_before": before,
-        "points_after": after,
-        "bound": after,
-        "verified": report.ok and pages.ok,
+        "m": len(cert.tree.faces),
+        "m_mode": cert.m_mode,
+        "points_before": len(cert.raw.points),
+        "points_after": len(cert.final.points),
+        "bound": len(cert.final.points),
+        "verified": cert.verified,
         "failures": failures,
         "notes": notes,
-        "presentation": pres,
+        "presentation": cert.presentation,
     }
 
     if config.oracle:
@@ -138,10 +99,8 @@ def _component_report(comp: PlaneDiagram, config: RunConfig) -> dict:
         ex = nsis_exact(graph, budget=config.budget)
         out["nsis_max"] = ex.size
         out["nsis_greedy"] = len(nsis_greedy_leafy(graph, seed=config.seed))
-        if exact_res is not None and exact_res.exact:
-            out["m_max"] = exact_res.m
-        else:
-            out["m_max"] = exact_max_faces(cx, budget=config.budget).m
+        out["m_max"] = (cert.search
+                        or exact_max_faces(cx, budget=config.budget)).m
     return out
 
 
@@ -169,7 +128,7 @@ def analyze_entry(name: str, body: str, config: RunConfig) -> tuple[dict, int]:
     except DiagramError as exc:
         row["failure"] = f"validation: {exc}"
         return row, VALIDATION
-    except (VerificationError, InternalError) as exc:
+    except InternalError as exc:
         row["failure"] = f"verification: {exc}"
         return row, VERIFICATION
 

@@ -16,11 +16,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .binding import (INSIDE_OVER, INSIDE_UNDER, OUTSIDE, PAGE_BY_TYPE,
-                      BindingSequence, crossing_pairs, same_page_crossings)
-from .diagram import PlaneDiagram, crossing_of, rotate, slot_of, \
-    strand_slot_type
-from .errors import VerificationError
+from .binding import (PAGE_BY_TYPE, BindingSequence, crossing_pairs,
+                      same_page_crossings)
+from .diagram import PlaneDiagram
 
 
 @dataclass(frozen=True)
@@ -78,78 +76,13 @@ class OverlayResult:
     reason: str | None = None
 
 
-def _sequence_problems(seq: BindingSequence) -> list[str]:
-    """Diagram-free slice of the binding conditions.
-
-    Everything expressible with the sequence alone is checked here: the
-    count identities, point degrees, passage structure, type purity and
-    crossing coverage.  Edge-level placement needs the diagram and stays
-    in verify_binding.  Condition 4 is enforced only for repaired input;
-    an unrepaired sequence on a non-alternating diagram legitimately
-    violates it, and the bound it certifies is still valid.
-    """
-    problems = []
-    ids = {p.id for p in seq.points}
-    if len(ids) != len(seq.points):
-        problems.append("duplicate point ids")
-    if len(seq.points) != len(seq.arcs):
-        problems.append(f"{len(seq.points)} points vs {len(seq.arcs)} arcs")
-    if not seq.repaired and len(seq.points) != 3 * seq.n + 1 - seq.m:
-        problems.append("unrepaired point count is not 3n+1-m")
-
-    degree: dict[int, list] = {pid: [] for pid in ids}
-    for arc in seq.arcs:
-        for end in arc.ends:
-            if end.point not in ids:
-                problems.append(f"arc {arc.id} ends at unknown point")
-                continue
-            degree[end.point].append(arc)
-        if arc.type == OUTSIDE:
-            if arc.crossings or arc.darts:
-                problems.append(f"outside arc {arc.id} passes a crossing")
-        elif arc.type in (INSIDE_UNDER, INSIDE_OVER):
-            if not arc.crossings or len(arc.darts) != 2 * len(arc.crossings):
-                problems.append(f"inside arc {arc.id} passage list broken")
-                continue
-            for k, c in enumerate(arc.crossings):
-                x0, x1 = arc.darts[2 * k], arc.darts[2 * k + 1]
-                if crossing_of(x0) != c or rotate(rotate(x0)) != x1:
-                    problems.append(f"arc {arc.id} passage {k} malformed")
-            for x in arc.darts:
-                if "inside-" + strand_slot_type(slot_of(x)) != arc.type:
-                    problems.append(f"arc {arc.id} type does not match "
-                                    f"dart {x}")
-        else:
-            problems.append(f"arc {arc.id} has unknown type {arc.type!r}")
-
-    for pid, arcs_here in degree.items():
-        if len(arcs_here) != 2:
-            problems.append(f"point {pid} has {len(arcs_here)} arc ends")
-        elif seq.repaired:
-            a, b = arcs_here
-            if a.id == b.id or a.type == b.type:
-                problems.append(f"repaired sequence keeps same-type arcs "
-                                f"at point {pid}")
-
-    covered = set()
-    for arc in seq.arcs:
-        if arc.type != OUTSIDE:
-            covered.update(arc.crossings)
-    if covered != set(range(seq.n)):
-        problems.append("inside arcs do not cover all crossings")
-    return problems
-
-
 def to_presentation(seq: BindingSequence) -> ThreePagePresentation:
     """Flatten a binding sequence to its chord diagram.
 
-    The chord count equals the point count and is the certified bound.
-    Raises when the sequence fails its diagram-free verification.
+    The chord count equals the point count and is the certified bound
+    once verify_binding has accepted seq and verify_pages the result;
+    pipeline.certify runs both on every sequence it presents.
     """
-    problems = _sequence_problems(seq)
-    if problems:
-        raise VerificationError(
-            "binding sequence failed verification: " + "; ".join(problems))
     chords = tuple(Chord(a=arc.ends[0].point, b=arc.ends[1].point,
                          page=PAGE_BY_TYPE[arc.type],
                          crossings=arc.crossings, arc=arc.id)

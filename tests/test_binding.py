@@ -168,12 +168,6 @@ class TestVerifier:
             assert rep.ok, (name, rep.offenders)
             assert rep.offenders == ()
 
-    def test_consecutive_variant_is_informational(self):
-        d, _, _, seq = build(HOPF)
-        rep = verify_binding(seq, d)
-        assert rep.ok
-        assert rep.consecutive_variant_ok is False
-
     def test_alternation_offenders_named(self):
         d, cx, est, seq = build(HOPF_SWITCHED)
         rep = verify_binding(seq, d)

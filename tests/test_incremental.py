@@ -1,9 +1,10 @@
 """The near-linear tests of the default pipeline against their references.
 
-Incremental face feasibility, the one-pass is_reduced and the sweep
-chord-crossing scan each replaced a slower test that is still in the
-code or spelled out here; both must give the same answers on corpus
-diagrams and on generated braid closures, switched crossings included.
+Incremental face feasibility, the one-pass is_reduced, the sweep
+chord-crossing scan and the one-pass repair each replaced a slower
+version that is still in the code or spelled out here; both must give
+the same answers on corpus diagrams and on generated braid closures,
+switched crossings included.
 """
 
 import itertools
@@ -81,6 +82,55 @@ def reference_crossing_pairs(spans):
             if chords_cross(*spans[i], *spans[j])]
 
 
+def reference_repair(seq, d):
+    """repair as it was: rescan every point after each merge."""
+    points = list(seq.points)
+    arcs = {a.id: a for a in seq.arcs}
+
+    while True:
+        ends_at = {p.id: [] for p in points}
+        for a in arcs.values():
+            for k in (0, 1):
+                ends_at[a.ends[k].point].append((a.id, k))
+        removable = None
+        for p in points:
+            if p.kind != binding.KIND_EDGE_CUT:
+                continue
+            (aid, i), (bid, j) = ends_at[p.id]
+            if aid == bid:
+                continue
+            if arcs[aid].type == arcs[bid].type:
+                removable = (p, aid, i, bid, j)
+                break
+        if removable is None:
+            break
+        p, aid, i, bid, j = removable
+        a, b = arcs[aid], arcs[bid]
+        a_darts, a_cross = a.darts, a.crossings
+        a_far = a.ends[0]
+        if i == 0:  # orient a so its cut end comes last
+            a_darts, a_cross = a_darts[::-1], a_cross[::-1]
+            a_far = a.ends[1]
+        b_darts, b_cross = b.darts, b.crossings
+        b_far = b.ends[1]
+        if j == 1:  # orient b so its cut end comes first
+            b_darts, b_cross = b_darts[::-1], b_cross[::-1]
+            b_far = b.ends[0]
+        merged = binding.Arc(id=min(aid, bid), type=a.type,
+                             ends=(a_far, b_far),
+                             crossings=a_cross + b_cross,
+                             darts=a_darts + b_darts, edge=None)
+        del arcs[aid], arcs[bid]
+        arcs[merged.id] = merged
+        points = [q for q in points if q.id != p.id]
+
+    return binding.BindingSequence(
+        points=tuple(points),
+        arcs=tuple(sorted(arcs.values(), key=lambda a: a.id)),
+        n=seq.n, m=seq.m, repaired=True,
+        tree_edges=seq.tree_edges, tree_faces=seq.tree_faces)
+
+
 def components(text):
     return tp.parse_pd(text).connected_components()
 
@@ -138,6 +188,30 @@ def test_fixed_cases_match_references(k):
     assert d.is_reduced() == reference_is_reduced(d)
     check_greedy(d, seed=k)
     check_witness(d)
+
+
+def check_repair(d):
+    """Merges made on both edge sides of the greedy tree's walk."""
+    cx = tp.CellComplex(d)
+    est = tp.greedy_max_faces(cx)
+    merges = 0
+    for side in (0, 1):
+        raw = binding.corner_walk(est, cx, side)
+        fixed = tp.repair(raw, d)
+        assert fixed == reference_repair(raw, d), side
+        merges += len(raw.points) - len(fixed.points)
+    return merges
+
+
+def test_repair_matches_rescan_on_fixed_cases():
+    assert sum(check_repair(d) for d in FIXED_DIAGRAMS) > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(closures())
+def test_repair_matches_rescan(text):
+    for d in components(text):
+        check_repair(d)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,0 +1,67 @@
+"""certify: one run of every step per component, each result kept."""
+
+import pytest
+
+import threepage as tp
+from threepage import pipeline
+
+from conftest import CORPUS_NAMES, HOPF, KINK, TREFOIL_SWITCHED
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_certificate_holds_each_step(corpus, name):
+    d = corpus[name]
+    cert = tp.certify(d)
+    cx = cert.complex
+    assert cert.m_mode == "greedy" and cert.search is None
+    assert cert.tree == tp.greedy_max_faces(cx)
+    assert cert.raw == tp.boundary_sequence(cert.tree, cx)
+    assert len(cert.raw.points) == 3 * d.n + 1 - len(cert.tree.faces)
+    assert cert.final == tp.repair(cert.raw, d)
+    assert cert.binding == tp.verify_binding(cert.final, d)
+    assert cert.presentation == tp.to_presentation(cert.final)
+    assert cert.pages == tp.verify_pages(cert.presentation)
+    assert cert.verified
+    assert cert.presentation.bound == len(cert.final.points)
+
+
+def test_exact_and_tree_only_modes():
+    d = tp.parse_pd(HOPF)
+    cert = tp.certify(d, tp.RunConfig(exact=True))
+    assert cert.m_mode == "exact" and cert.search.exact
+    assert cert.tree == cert.search.est
+    cert = tp.certify(d, tp.RunConfig(exact=True, budget=1))
+    assert cert.m_mode == "exact(budget-hit)" and not cert.search.exact
+    cert = tp.certify(d, tp.RunConfig(extend=False))
+    assert cert.m_mode == "tree-only" and cert.search is None
+    assert not cert.tree.faces
+    assert len(cert.final.points) == 3 * d.n + 1
+
+
+def test_no_repair_presents_the_raw_walk():
+    d = tp.parse_pd(TREFOIL_SWITCHED)
+    cert = tp.certify(d, tp.RunConfig(repair=False))
+    assert cert.final is cert.raw and not cert.presentation.repaired
+    assert cert.binding == tp.verify_binding(cert.raw, d)
+    assert not cert.binding.c4_alternation and not cert.verified
+    assert not cert.pages.pages_distinct_ok
+    repaired = tp.certify(d)
+    assert repaired.verified and repaired.raw == cert.raw
+    assert len(repaired.final.points) < len(cert.raw.points)
+
+
+def test_kink_certificate():
+    cert = tp.certify(tp.parse_pd(KINK), tp.RunConfig(exact=True))
+    assert cert.verified and cert.presentation.bound == 2
+
+
+def test_both_sides_failing_names_page_offenders(monkeypatch):
+    bad = tp.PageReport(ok=False, degree_ok=True, pages_distinct_ok=True,
+                        planar_ok=False,
+                        offenders=("page-1 arcs 0 and 2 interleave",))
+    monkeypatch.setattr(pipeline, "verify_pages", lambda pres: bad)
+    with pytest.raises(tp.InternalError, match="both edge sides") as info:
+        tp.certify(tp.parse_pd(HOPF))
+    message = str(info.value)
+    assert "side 0" in message and "side 1" in message
+    assert "page-1 arcs 0 and 2 interleave" in message

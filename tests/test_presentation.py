@@ -9,7 +9,6 @@ from threepage import (
     ExtendedSpanningTree,
     RenderOptions,
     ThreePagePresentation,
-    VerificationError,
     boundary_sequence,
     canonical_form,
     exact_max_faces,
@@ -19,6 +18,7 @@ from threepage import (
     render_svg,
     repair,
     to_presentation,
+    verify_binding,
     verify_pages,
 )
 
@@ -62,12 +62,15 @@ class TestToPresentation:
         assert d["arcs"][0] == {"a": 3, "b": 5, "page": 1, "crossings": [0]}
 
     def test_corrupted_sequence_rejected(self):
+        # to_presentation only flattens; verify_binding, which certify
+        # runs on every sequence it presents, rejects the corruption.
         d = parse_pd(HOPF)
         cx = CellComplex(d)
         seq = boundary_sequence(exact_max_faces(cx).est, cx)
         bad = dataclasses.replace(seq, points=seq.points[:-1])
-        with pytest.raises(VerificationError):
-            to_presentation(bad)
+        rep = verify_binding(bad, d)
+        assert not rep.ok and not rep.c1_structure
+        assert any("6 arcs" in off for off in rep.offenders)
 
     def test_corpus_counts(self, corpus, corpus_complexes):
         for name, cx in corpus_complexes.items():
