@@ -19,8 +19,7 @@ from .cells import (CellComplex, DualGraph, Subcomplex, complement_components,
                     subcomplex_components)
 from .diagram import (PlaneDiagram, canonical_form, crossing_of, dart_id,
                       parse_pd, rotate, slot_of)
-from .errors import (DiagramError, InternalError, PDSyntaxError,
-                     VerificationError)
+from .errors import DiagramError, InternalError, PDSyntaxError
 from .nsis import (NsisResult, SimpleGraph, is_nsis, nsis_exact,
                    nsis_greedy_leafy, nsis_ratio_report)
 from .pipeline import Certificate, RunConfig, boundary_sequence, certify
@@ -42,7 +41,7 @@ __all__ = [
     "ExtendedSpanningTree", "InternalError", "NsisResult", "OverlayResult",
     "PDSyntaxError", "PageReport", "PlaneDiagram", "RenderOptions",
     "RunConfig", "SearchResult", "SimpleGraph", "Subcomplex",
-    "ThreePagePresentation", "VerificationError", "Witness",
+    "ThreePagePresentation", "Witness",
     "boundary_sequence", "canonical_form", "certify", "chords_cross",
     "complement_components", "complete_to_est", "crossing_of", "dart_id",
     "euler_characteristic", "exact_max_faces", "face_set_feasible",

@@ -165,7 +165,8 @@ class PlaneDiagram:
             return False
         if self.n <= 2:
             return True
-        return not articulation_points(set(range(self.n)), self._adjacency())
+        return not articulation_points(set(range(self.n)),
+                                       self._adjacency())[0]
 
     def __repr__(self):
         inner = ", ".join("X" + str(row) for row in self.crossings)
@@ -182,51 +183,49 @@ class PlaneDiagram:
         return hash(self.crossings)
 
 
-def articulation_points(verts: set[int], adj) -> set[int]:
-    """Cut vertices of the induced subgraph on verts (assumed connected).
+def articulation_points(verts: set[int], adj) -> tuple[set[int], int]:
+    """Cut vertices of the induced subgraph on verts, and its reach.
 
-    One iterative Hopcroft-Tarjan depth-first pass, O(V + E log deg) with
-    the per-vertex neighbor sort.  adj maps each vertex to an iterable of
-    neighbors; repeated neighbors (parallel edges) are harmless.
+    One iterative Hopcroft-Tarjan depth-first pass from min(verts),
+    O(V + E).  The second value counts the vertices the pass reached, so
+    verts induces a connected subgraph iff it equals len(verts); only
+    then is the first value the cut set of the whole subgraph.  adj maps
+    each vertex to an iterable of neighbors; repeated neighbors (parallel
+    edges) are harmless, and the neighbor order does not change the cut
+    set.
     """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    out: set[int] = set()
-    counter = 0
     root = min(verts)
-    stack = []
-    parent[root] = None
-    disc[root] = low[root] = counter
-    counter += 1
-    stack.append((root, iter(sorted(u for u in adj[root] if u in verts))))
+    disc = {root: 0}
+    low = {root: 0}
+    parent: dict[int, int | None] = {root: None}
+    out: set[int] = set()
+    stack = [(root, iter(adj[root]))]
     root_children = 0
     while stack:
         v, it = stack[-1]
-        advanced = False
         for u in it:
+            if u not in verts:
+                continue
             if u not in disc:
                 parent[u] = v
-                disc[u] = low[u] = counter
-                counter += 1
+                disc[u] = low[u] = len(disc)
                 if v == root:
                     root_children += 1
-                stack.append(
-                    (u, iter(sorted(w for w in adj[u] if w in verts))))
-                advanced = True
+                stack.append((u, iter(adj[u])))
                 break
-            elif u != parent[v]:
-                low[v] = min(low[v], disc[u])
-        if not advanced:
+            if u != parent[v] and disc[u] < low[v]:
+                low[v] = disc[u]
+        else:
             stack.pop()
             p = parent[v]
             if p is not None:
-                low[p] = min(low[p], low[v])
+                if low[v] < low[p]:
+                    low[p] = low[v]
                 if p != root and low[v] >= disc[p]:
                     out.add(p)
     if root_children > 1:
         out.add(root)
-    return out
+    return out, len(disc)
 
 
 def parse_pd(text: str) -> PlaneDiagram:

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: syntax errors from the PD reader are
-exit 1, structural validation failures are exit 2, and verification
-failures (a constructed presentation that does not pass its own checkers)
-are exit 3.
+exit 1 and structural validation failures exit 2.  Exit 3 marks a
+verification failure: a row whose presentation the verifiers rejected
+(verified = false), or an InternalError raised while building it.
 """
 
 
@@ -13,10 +13,6 @@ class PDSyntaxError(ValueError):
 
 class DiagramError(ValueError):
     """A diagram violates a structural requirement of the operation."""
-
-
-class VerificationError(RuntimeError):
-    """A constructed object failed one of the independent verifiers."""
 
 
 class InternalError(RuntimeError):

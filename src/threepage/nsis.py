@@ -97,40 +97,56 @@ def nsis_exact(graph: SimpleGraph, budget: int = 10_000_000) -> NsisResult:
     every residual along the way connected), and articulation points of
     the current residual can never be added, so they drop out of the
     candidate list.  Exceeding the node budget only costs exactness.
+
+    Depth-first with an explicit stack, including the next candidate
+    before excluding it, so no input size can exhaust the recursion
+    limit.  A node that tries its candidate runs one articulation_points
+    pass over the residual, O(V + E), which also tells whether the
+    residual is connected; an include then filters the candidates in
+    O(candidates), and putting the vertex back costs O(1).
     """
     if not graph.is_connected():
         raise DiagramError("nsis search requires a connected graph")
     order = sorted(graph.vertices, key=lambda v: (-graph.degree(v), v))
-    verts = set(graph.vertices)
     adj = graph.adjacency
-
-    best: list = [0, frozenset()]
-    state = {"nodes": 0, "exhausted": False}
-
-    def descend(chosen: frozenset[int], candidates: list[int]) -> None:
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["exhausted"] = True
-            return
-        if len(chosen) > best[0]:
-            best[0], best[1] = len(chosen), chosen
-        if not candidates or len(chosen) + len(candidates) <= best[0]:
-            return
-        v, rest = candidates[0], candidates[1:]
-        with_v = chosen | {v}
-        residual = verts - with_v
-        if residual and _connected(residual, adj):
-            cut = articulation_points(residual, adj)
-            keep = [u for u in rest if u not in adj[v] and u not in cut]
-            descend(with_v, keep)
-            if state["exhausted"]:
-                return
-        descend(chosen, rest)
-
-    start_cut = articulation_points(verts, adj) if len(verts) > 1 else set()
-    descend(frozenset(), [v for v in order if v not in start_cut])
-    return NsisResult(size=best[0], vertices=best[1],
-                      exact=not state["exhausted"], nodes=state["nodes"])
+    residual = set(graph.vertices)
+    start_cut, _ = articulation_points(residual, adj)
+    chosen: list[int] = []
+    best, best_set = 0, frozenset()
+    nodes = 0
+    exhausted = False
+    # (candidates, start, undo): the node for candidates[start:], after
+    # returning the last chosen vertex to the residual when undo is set.
+    stack = [([v for v in order if v not in start_cut], 0, False)]
+    while stack:
+        candidates, start, undo = stack.pop()
+        if undo:
+            residual.add(chosen.pop())
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            break
+        if len(chosen) > best:
+            best, best_set = len(chosen), frozenset(chosen)
+        if len(chosen) + len(candidates) - start <= best:
+            continue
+        v = candidates[start]
+        residual.discard(v)
+        connected = False
+        if residual:
+            cut, reached = articulation_points(residual, adj)
+            connected = reached == len(residual)
+        if connected:
+            chosen.append(v)
+            stack.append((candidates, start + 1, True))
+            near = adj[v]
+            stack.append(([u for u in candidates[start + 1:]
+                           if u not in near and u not in cut], 0, False))
+        else:
+            residual.add(v)
+            stack.append((candidates, start + 1, False))
+    return NsisResult(size=best, vertices=best_set,
+                      exact=not exhausted, nodes=nodes)
 
 
 def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:

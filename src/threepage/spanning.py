@@ -13,8 +13,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .cells import (CellComplex, Subcomplex, euler_characteristic,
-                    subcomplex_components)
+from .cells import (CellComplex, Subcomplex, _Forest, _UndoForest,
+                    euler_characteristic, subcomplex_components)
 from .errors import DiagramError, InternalError
 
 
@@ -34,57 +34,6 @@ class SearchResult:
     est: ExtendedSpanningTree
     exact: bool
     nodes: int
-
-
-class _Forest:
-    """Union-find over crossings, plus the edges of the faces added so far.
-
-    Dict-backed, so a fresh forest costs nothing until crossings are
-    touched.  Starting from all crossings and no edges, every component
-    has Euler characteristic 1; add_face keeps that invariant, which is
-    exactly the feasibility criterion of face_set_feasible.
-    """
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.used: set[int] = set()
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while root in parent:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the components of a and b; False if they already agree."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-    def add_face(self, f: int, cx: CellComplex) -> bool:
-        """Add face f if the face set stays feasible; report whether it did.
-
-        Its edges must be unused, and its crossings must lie in exactly
-        |edges(f)| components: the merged component then has chi =
-        k - |edges(f)| + 1 = 1, and every other component keeps chi = 1.
-        O(|f|) amortized.
-        """
-        edges = cx.face_edges(f)
-        if any(e in self.used for e in edges):
-            return False
-        roots = {self.find(v) for v in cx.face_vertices(f)}
-        if len(roots) != len(edges):
-            return False
-        self.used.update(edges)
-        first = roots.pop()
-        for r in roots:
-            self.parent[r] = first
-        return True
 
 
 @dataclass(frozen=True)
@@ -237,37 +186,48 @@ def exact_max_faces(cx: CellComplex, budget: int = 10_000_000) -> SearchResult:
     feasible), so an infeasible partial set can be cut off.  The bound is
     current size plus remaining candidates.  When the node budget runs
     out the best set found so far is returned with exact=False.
+
+    Depth-first with an explicit stack, including the next candidate
+    before excluding it, so no input size can exhaust the recursion
+    limit.  A node tests its candidate face on an _UndoForest in
+    O(|f| log n); an include then drops the candidates sharing an edge
+    with it in O(candidates), and undoing it before the exclude sibling
+    costs O(|f|).  face_set_feasible runs once, in complete_to_est on the
+    best set.
     """
     adj = cx.dual_graph().adjacency
     order = sorted(range(cx.face_count), key=lambda f: (len(adj[f]), f))
-    face_edges = [frozenset(cx.face_edges(f)) for f in range(cx.face_count)]
-
-    best: list = [0, frozenset()]
+    forest = _UndoForest(cx)
+    chosen: list[int] = []
+    best, best_set = 0, frozenset()
     nodes = 0
     exhausted = False
-
-    def descend(chosen: frozenset[int], used_edges: frozenset[int],
-                candidates: list[int]) -> None:
-        nonlocal nodes, exhausted
+    # (candidates, start, undo): the node for candidates[start:], after
+    # undoing the last chosen face when undo is set.
+    stack = [(order, 0, False)]
+    while stack:
+        candidates, start, undo = stack.pop()
+        if undo:
+            forest.undo()
+            chosen.pop()
         nodes += 1
         if nodes > budget:
             exhausted = True
-            return
-        if len(chosen) > best[0]:
-            best[0], best[1] = len(chosen), chosen
-        if not candidates or len(chosen) + len(candidates) <= best[0]:
-            return
-        f, rest = candidates[0], candidates[1:]
-        if not (face_edges[f] & used_edges) and \
-                face_set_feasible(chosen | {f}, cx):
-            keep = [g for g in rest if not (face_edges[g] & face_edges[f])]
-            descend(chosen | {f}, used_edges | face_edges[f], keep)
-            if exhausted:
-                return
-        descend(chosen, used_edges, rest)
-
-    descend(frozenset(), frozenset(), order)
-    return SearchResult(m=best[0], est=complete_to_est(best[1], cx),
+            break
+        if len(chosen) > best:
+            best, best_set = len(chosen), frozenset(chosen)
+        if len(chosen) + len(candidates) - start <= best:
+            continue
+        f = candidates[start]
+        if forest.add_face(f):
+            chosen.append(f)
+            stack.append((candidates, start + 1, True))
+            near = adj[f]
+            stack.append(([g for g in candidates[start + 1:]
+                           if g not in near], 0, False))
+        else:
+            stack.append((candidates, start + 1, False))
+    return SearchResult(m=best, est=complete_to_est(best_set, cx),
                         exact=not exhausted, nodes=nodes)
 
 

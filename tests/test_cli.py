@@ -15,6 +15,7 @@ from conftest import (
     NON_SPHERE,
     TREFOIL,
     TREFOIL_SWITCHED,
+    braid_closure_pd,
     disjoint_union,
 )
 
@@ -50,6 +51,15 @@ class TestExitCodes:
         path = write_entries(tmp_path, [f"curl: {NON_SPHERE}"])
         code, _, _ = run_cli(["batch", path], capsys)
         assert code == 2
+
+    def test_exact_budget_hit_on_long_braid(self, tmp_path, capsys):
+        word = [(i % 2 + 1) * (-1) ** i for i in range(2400)]
+        path = write_entries(tmp_path, [f"long: {braid_closure_pd(word, 3)}"])
+        code, out, _ = run_cli(["batch", path, "--exact", "--budget", "1500"],
+                               capsys)
+        assert code == 0
+        row = csv_rows(out)[0]
+        assert (row["m_mode"], row["verified"]) == ("exact(budget-hit)", "true")
 
     def test_verification_error(self, tmp_path, capsys):
         path = write_entries(tmp_path, [f"ts: {TREFOIL_SWITCHED}"])

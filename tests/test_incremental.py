@@ -1,10 +1,10 @@
 """The near-linear tests of the default pipeline against their references.
 
 Incremental face feasibility, the one-pass is_reduced, the sweep
-chord-crossing scan and the one-pass repair each replaced a slower
-version that is still in the code or spelled out here; both must give
-the same answers on corpus diagrams and on generated braid closures,
-switched crossings included.
+chord-crossing scan, the one-pass repair and the two explicit-stack
+exact searches each replaced a slower version that is still in the code
+or spelled out here; both must give the same answers on corpus diagrams
+and on generated braid closures, switched crossings included.
 """
 
 import itertools
@@ -15,7 +15,9 @@ import pytest
 import threepage as tp
 from threepage import binding, presentation, spanning
 from threepage.binding import chords_cross, crossing_pairs
-from threepage.spanning import face_set_feasible
+from threepage.diagram import articulation_points
+from threepage.nsis import NsisResult, _connected
+from threepage.spanning import SearchResult, complete_to_est, face_set_feasible
 
 from conftest import (CORPUS_TEXTS, HOPF, KINK, TWO_CLASPS, braid_closure_pd,
                       disjoint_union, switch_crossing, torus_pd)
@@ -131,6 +133,119 @@ def reference_repair(seq, d):
         tree_edges=seq.tree_edges, tree_faces=seq.tree_faces)
 
 
+def reference_exact_max_faces(cx, budget=10_000_000):
+    """exact_max_faces as it was: recursive, face_set_feasible per node."""
+    adj = cx.dual_graph().adjacency
+    order = sorted(range(cx.face_count), key=lambda f: (len(adj[f]), f))
+    face_edges = [frozenset(cx.face_edges(f)) for f in range(cx.face_count)]
+
+    best: list = [0, frozenset()]
+    nodes = 0
+    exhausted = False
+
+    def descend(chosen: frozenset[int], used_edges: frozenset[int],
+                candidates: list[int]) -> None:
+        nonlocal nodes, exhausted
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        if len(chosen) > best[0]:
+            best[0], best[1] = len(chosen), chosen
+        if not candidates or len(chosen) + len(candidates) <= best[0]:
+            return
+        f, rest = candidates[0], candidates[1:]
+        if not (face_edges[f] & used_edges) and \
+                face_set_feasible(chosen | {f}, cx):
+            keep = [g for g in rest if not (face_edges[g] & face_edges[f])]
+            descend(chosen | {f}, used_edges | face_edges[f], keep)
+            if exhausted:
+                return
+        descend(chosen, used_edges, rest)
+
+    descend(frozenset(), frozenset(), order)
+    return SearchResult(m=best[0], est=complete_to_est(best[1], cx),
+                        exact=not exhausted, nodes=nodes)
+
+
+def reference_articulation_points(verts, adj):
+    """articulation_points as it was: neighbors sorted, cut set only."""
+    disc, low, parent, out = {}, {}, {}, set()
+    counter = 0
+    root = min(verts)
+    stack = []
+    parent[root] = None
+    disc[root] = low[root] = counter
+    counter += 1
+    stack.append((root, iter(sorted(u for u in adj[root] if u in verts))))
+    root_children = 0
+    while stack:
+        v, it = stack[-1]
+        advanced = False
+        for u in it:
+            if u not in disc:
+                parent[u] = v
+                disc[u] = low[u] = counter
+                counter += 1
+                if v == root:
+                    root_children += 1
+                stack.append(
+                    (u, iter(sorted(w for w in adj[u] if w in verts))))
+                advanced = True
+                break
+            elif u != parent[v]:
+                low[v] = min(low[v], disc[u])
+        if not advanced:
+            stack.pop()
+            p = parent[v]
+            if p is not None:
+                low[p] = min(low[p], low[v])
+                if p != root and low[v] >= disc[p]:
+                    out.add(p)
+    if root_children > 1:
+        out.add(root)
+    return out
+
+
+def reference_nsis_exact(graph, budget=10_000_000):
+    """nsis_exact as it was: recursive, a connectivity pass and then a
+    sorted articulation-point pass per include node."""
+    if not graph.is_connected():
+        raise tp.DiagramError("nsis search requires a connected graph")
+    order = sorted(graph.vertices, key=lambda v: (-graph.degree(v), v))
+    verts = set(graph.vertices)
+    adj = graph.adjacency
+
+    best: list = [0, frozenset()]
+    state = {"nodes": 0, "exhausted": False}
+
+    def descend(chosen: frozenset[int], candidates: list[int]) -> None:
+        state["nodes"] += 1
+        if state["nodes"] > budget:
+            state["exhausted"] = True
+            return
+        if len(chosen) > best[0]:
+            best[0], best[1] = len(chosen), chosen
+        if not candidates or len(chosen) + len(candidates) <= best[0]:
+            return
+        v, rest = candidates[0], candidates[1:]
+        with_v = chosen | {v}
+        residual = verts - with_v
+        if residual and _connected(residual, adj):
+            cut = reference_articulation_points(residual, adj)
+            keep = [u for u in rest if u not in adj[v] and u not in cut]
+            descend(with_v, keep)
+            if state["exhausted"]:
+                return
+        descend(chosen, rest)
+
+    start_cut = (reference_articulation_points(verts, adj)
+                 if len(verts) > 1 else set())
+    descend(frozenset(), [v for v in order if v not in start_cut])
+    return NsisResult(size=best[0], vertices=best[1],
+                      exact=not state["exhausted"], nodes=state["nodes"])
+
+
 def components(text):
     return tp.parse_pd(text).connected_components()
 
@@ -235,6 +350,46 @@ def test_is_reduced_matches_cut_vertex_definition(text):
         assert d.is_reduced() == reference_is_reduced(d)
 
 
+BUDGETS = (3, 40, 250, 10_000_000)
+
+
+def check_searches(d):
+    """Both exact searches equal their references at every budget."""
+    cx = tp.CellComplex(d)
+    graph = tp.SimpleGraph.from_dual(cx.dual_graph())
+    for budget in BUDGETS:
+        got = tp.exact_max_faces(cx, budget=budget)
+        want = reference_exact_max_faces(cx, budget=budget)
+        assert got == want, budget    # m, est edges and faces, exact, nodes
+        got = tp.nsis_exact(graph, budget=budget)
+        assert got == reference_nsis_exact(graph, budget=budget), budget
+
+
+def test_searches_match_references_on_fixed_cases():
+    for d in FIXED_DIAGRAMS:
+        check_searches(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closures(max_n=16))
+def test_searches_match_references(text):
+    for d in components(text):
+        check_searches(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closures(max_n=12), st.data())
+def test_articulation_points_match_reference(text, data):
+    """On connected and disconnected induced subgraphs of the dual."""
+    cx = tp.CellComplex(components(text)[0])
+    adj = cx.dual_graph().adjacency
+    verts = data.draw(st.sets(st.sampled_from(sorted(adj)), min_size=1))
+    cut, reached = articulation_points(verts, adj)
+    assert (reached == len(verts)) == _connected(verts, adj)
+    if reached == len(verts):
+        assert cut == reference_articulation_points(verts, adj)
+
+
 @pytest.mark.parametrize("text, reduced", [
     (KINK, False),                                    # n = 1, loop edges
     (braid_closure_pd([1, 2], 3), False),             # n = 2, loop edges
@@ -301,3 +456,21 @@ def test_default_path_makes_no_quadratic_calls(monkeypatch):
     pres = tp.to_presentation(tp.repair(seq, cx.diagram))
     assert tp.verify_pages(pres).ok
     assert crossed == []
+
+
+def test_exact_searches_make_one_pass_per_node(monkeypatch):
+    """No feasibility rebuild and no separate connectivity pass per node."""
+    from threepage import nsis
+    cx = tp.CellComplex(tp.parse_pd(braid_closure_pd([1, -2] * 6, 3)))
+    feasible = counting(monkeypatch, spanning, "face_set_feasible")
+    res = tp.exact_max_faces(cx)
+    assert res.exact and res.nodes > 100
+    assert len(feasible) == 1    # the oracle inside complete_to_est
+    graph = tp.SimpleGraph.from_dual(cx.dual_graph())
+    connected = counting(monkeypatch, nsis, "_connected")
+    passes = counting(monkeypatch, nsis, "articulation_points")
+    res = tp.nsis_exact(graph)
+    assert res.exact and res.nodes > 100
+    assert len(connected) == 1   # graph.is_connected() up front
+    assert len(passes) < res.nodes
+

@@ -98,6 +98,10 @@ class TestExact:
         assert res.size <= 2
         assert is_nsis(g, res.vertices) or res.size == 0
 
+    def test_chain_deeper_than_recursion_limit(self):
+        res = nsis_exact(star(1200))
+        assert (res.size, res.exact) == (1200, True)
+
     def test_disconnected_rejected(self):
         g = graph([(0, 1), (2, 3)])
         with pytest.raises(DiagramError):

@@ -3,7 +3,8 @@ import pytest
 import threepage as tp
 from threepage.spanning import face_set_feasible
 
-from conftest import HOPF, KINK, TREFOIL, TWO_CLASPS, torus_pd
+from conftest import (HOPF, KINK, TREFOIL, TWO_CLASPS, braid_closure_pd,
+                      torus_pd)
 
 # frozen maximum face counts; n <= 6 values confirmed by the
 # subcomplex-enumeration oracle, larger ones pinned from exact search
@@ -116,6 +117,16 @@ def test_budget_degrades_gracefully():
     cx = tp.CellComplex(tp.parse_pd(TREFOIL))
     res = tp.exact_max_faces(cx, budget=2)
     assert not res.exact
+    assert face_set_feasible(res.est.faces, cx)
+
+
+def test_budget_hit_deeper_than_recursion_limit():
+    """Include-first dives about a thousand faces deep here; no recursion."""
+    word = [(i % 2 + 1) * (-1) ** i for i in range(2400)]
+    cx = tp.CellComplex(tp.parse_pd(braid_closure_pd(word, 3)))
+    res = tp.exact_max_faces(cx, budget=1500)
+    assert (res.exact, res.nodes) == (False, 1501)
+    assert res.m == len(res.est.faces)
     assert face_set_feasible(res.est.faces, cx)
 
 
