@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from functools import cached_property
 
 from .cells import CellComplex, is_contractible
 from .diagram import PlaneDiagram, crossing_of, dart_id, rotate
@@ -50,11 +49,6 @@ class BindingPoint:
     kind: str
     anchor_dart: int
 
-    def location(self) -> tuple[int, int]:
-        if self.kind == KIND_EDGE_CUT:
-            return (self.edge, 0)
-        return (self.edge, crossing_of(self.anchor_dart))
-
 
 @dataclass(frozen=True)
 class ArcEnd:
@@ -81,44 +75,6 @@ class BindingSequence:
     repaired: bool
     tree_edges: frozenset[int]
     tree_faces: frozenset[int]
-
-    @cached_property
-    def _position(self) -> dict[int, int]:
-        return {p.id: i for i, p in enumerate(self.points)}
-
-    def position(self, point_id: int) -> int:
-        return self._position[point_id]
-
-    def point(self, point_id: int) -> BindingPoint:
-        return self.points[self._position[point_id]]
-
-    def to_json_dict(self) -> dict:
-        ends_at: dict[int, list[list[int]]] = {p.id: [] for p in self.points}
-        for a in self.arcs:
-            for k in (0, 1):
-                ends_at[a.ends[k].point].append([a.id, k])
-        return {
-            "n": self.n,
-            "m": self.m,
-            "repaired": self.repaired,
-            "tree_edges": sorted(self.tree_edges),
-            "tree_faces": sorted(self.tree_faces),
-            "points": [{
-                "id": p.id,
-                "kind": p.kind,
-                "location": list(p.location()),
-                "anchor_dart": p.anchor_dart,
-                "arc_ends": ends_at[p.id],
-            } for p in self.points],
-            "arcs": [{
-                "id": a.id,
-                "type": a.type,
-                "page": PAGE_BY_TYPE[a.type],
-                "points": [a.ends[0].point, a.ends[1].point],
-                "crossings": list(a.crossings),
-                "edge": a.edge,
-            } for a in self.arcs],
-        }
 
 
 @dataclass(frozen=True)

@@ -154,33 +154,36 @@ class Subcomplex:
 
 
 class _Forest:
-    """Union-find over hashable keys, plus the edges of the faces added so far.
+    """Union-find over 0..size-1, plus the edges of the faces added so far.
 
-    Dict-backed, so a fresh forest costs nothing until keys are touched.
     Over crossings, starting from all crossings and no edges, every
     component has Euler characteristic 1; add_face keeps that invariant,
     which is exactly the feasibility criterion of face_set_feasible.
+    Union by size and no path compression, so every find is O(log size)
+    and undo() only resets the roots one face merged: O(|f|).
     """
 
-    def __init__(self):
-        self.parent: dict = {}
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.size = [1] * size
         self.used: set[int] = set()
+        self.log: list[tuple[tuple[int, ...], int, set[int]]] = []
 
-    def find(self, x):
+    def find(self, x: int) -> int:
         parent = self.parent
-        root = x
-        while root in parent:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
+        while parent[x] != x:
+            x = parent[x]
+        return x
 
-    def union(self, a, b) -> bool:
+    def union(self, a: int, b: int) -> bool:
         """Merge the components of a and b; False if they already agree."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        self.parent[ra] = rb
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
         return True
 
     def add_face(self, f: int, cx: CellComplex) -> bool:
@@ -189,55 +192,17 @@ class _Forest:
         Its edges must be unused, and its crossings must lie in exactly
         |edges(f)| components: the merged component then has chi =
         k - |edges(f)| + 1 = 1, and every other component keeps chi = 1.
-        O(|f|) amortized.
+        An added face goes on the log that undo() pops.  O(|f| log n).
         """
         edges = cx.face_edges(f)
-        if any(e in self.used for e in edges):
+        used = self.used
+        if any(e in used for e in edges):
             return False
         roots = {self.find(v) for v in cx.face_vertices(f)}
         if len(roots) != len(edges):
             return False
-        self.used.update(edges)
-        first = roots.pop()
-        for r in roots:
-            self.parent[r] = first
-        return True
-
-
-class _UndoForest:
-    """The add_face test of _Forest, with the last added face undoable.
-
-    Union by size and no path compression, so every find is O(log n) and
-    undo() only resets the roots one face merged: O(|f|).  Kept apart
-    from _Forest because the greedy searches never undo: on _Forest,
-    whose finds compress paths, greedy ran about 10% faster than on this
-    class (braid closures, n from 32 to 1280).
-    """
-
-    def __init__(self, cx: CellComplex):
-        self.cx = cx
-        self.parent = list(range(cx.n))
-        self.size = [1] * cx.n
-        self.used = [False] * cx.diagram.edge_count
-        self.log: list[tuple[tuple[int, ...], int, set[int]]] = []
-
-    def add_face(self, f: int) -> bool:
-        """_Forest.add_face on this forest; an added face goes on the log."""
-        edges = self.cx.face_edges(f)
-        used = self.used
-        if any(used[e] for e in edges):
-            return False
-        parent = self.parent
-        roots = set()
-        for v in self.cx.face_vertices(f):
-            while parent[v] != v:
-                v = parent[v]
-            roots.add(v)
-        if len(roots) != len(edges):
-            return False
-        for e in edges:
-            used[e] = True
-        size = self.size
+        used.update(edges)
+        parent, size = self.parent, self.size
         top = max(roots, key=size.__getitem__)
         roots.discard(top)
         for r in roots:
@@ -253,8 +218,7 @@ class _UndoForest:
         for r in roots:
             parent[r] = r
             size[top] -= size[r]
-        for e in edges:
-            self.used[e] = False
+        self.used.difference_update(edges)
 
 
 def is_closed(sub: Subcomplex, cx: CellComplex) -> bool:
@@ -286,7 +250,7 @@ def subcomplex_components(sub: Subcomplex, cx: CellComplex) -> list[Subcomplex]:
     """
     _require_closed(sub, cx)
     endpoints = cx.diagram.edge_endpoints
-    forest = _Forest()
+    forest = _Forest(cx.n)
     for e in sub.edges:
         forest.union(*endpoints(e))
     groups: dict[int, tuple[list, list, list]] = {}
@@ -333,7 +297,7 @@ def complement_components(sub: Subcomplex, cx: CellComplex) -> int:
     """
     _require_closed(sub, cx)
     outside = [f for f in range(cx.face_count) if f not in sub.faces]
-    forest = _Forest()
+    forest = _Forest(cx.face_count)
     for e in range(cx.diagram.edge_count):
         if e in sub.edges:
             continue

@@ -33,6 +33,9 @@ CSV_COLUMNS = ["name", "n", "components", "reduced", "alternating", "faces",
                "m", "m_mode", "points_before", "points_after", "bound",
                "verified", "oracle_m", "nsis_max", "nsis_greedy", "m_max",
                "witness", "failure", "notes"]
+# Row value = sum over components; None when any component has none.
+SUMMED = ("n", "faces", "m", "points_before", "points_after", "bound",
+          "oracle_m", "nsis_max", "nsis_greedy", "m_max")
 
 
 def read_entries(path: str) -> list[tuple[str, str, str | None]]:
@@ -71,7 +74,7 @@ def _component_report(comp: PlaneDiagram, config: RunConfig) -> dict:
         "m_mode": cert.m_mode,
         "points_before": len(cert.raw.points),
         "points_after": len(cert.final.points),
-        "bound": len(cert.final.points),
+        "bound": len(cert.final.points) if cert.verified else None,
         "verified": cert.verified,
         "failures": failures,
         "notes": notes,
@@ -104,19 +107,17 @@ def _component_report(comp: PlaneDiagram, config: RunConfig) -> dict:
     return out
 
 
+def _blank_row(name: str, failure: str | None = None) -> dict:
+    row = dict.fromkeys(CSV_COLUMNS)
+    row.update(name=name, failure=failure, notes=[], presentations=[])
+    return row
+
+
 def analyze_entry(name: str, body: str, config: RunConfig) -> tuple[dict, int]:
     """One report row plus its severity; never raises."""
-    row = {c: None for c in CSV_COLUMNS}
-    row["name"] = name
-    row["notes"] = []
-    row["presentations"] = []
+    row = _blank_row(name)
     try:
-        diagram = parse_pd(body)
-    except PDSyntaxError as exc:
-        row["failure"] = f"parse: {exc}"
-        return row, PARSE
-    try:
-        components = diagram.connected_components()
+        components = parse_pd(body).connected_components()
         if not components:
             row.update(n=0, components=1, bound=1, verified=True,
                        notes=["no crossings: one arc embeds the circle"])
@@ -132,35 +133,24 @@ def analyze_entry(name: str, body: str, config: RunConfig) -> tuple[dict, int]:
         row["failure"] = f"verification: {exc}"
         return row, VERIFICATION
 
-    row["n"] = sum(p["n"] for p in parts)
+    for key in SUMMED:
+        vals = [p.get(key) for p in parts]
+        row[key] = None if None in vals else sum(vals)
     row["components"] = len(parts)
     row["reduced"] = all(p["reduced"] for p in parts)
     row["alternating"] = all(p["alternating"] for p in parts)
-    row["faces"] = sum(p["faces"] for p in parts)
-    row["m"] = sum(p["m"] for p in parts)
     row["m_mode"] = parts[0]["m_mode"]
-    row["points_before"] = sum(p["points_before"] for p in parts)
-    row["points_after"] = sum(p["points_after"] for p in parts)
     for p in parts:
         row["notes"].extend(p["notes"])
     if len(parts) > 1:
         row["notes"].append(f"split: bound summed over {len(parts)} components")
-    if config.oracle:
-        vals = [p.get("oracle_m") for p in parts]
-        row["oracle_m"] = sum(vals) if all(v is not None for v in vals) else None
-    if config.nsis:
-        row["nsis_max"] = sum(p["nsis_max"] for p in parts)
-        row["nsis_greedy"] = sum(p["nsis_greedy"] for p in parts)
-        row["m_max"] = sum(p["m_max"] for p in parts)
     witnesses = [p["witness"] for p in parts if p["witness"] not in (None, "skipped")]
     row["witness"] = witnesses[0] if witnesses else "skipped"
 
-    if all(p["verified"] for p in parts):
-        row["verified"] = True
-        row["bound"] = sum(p["bound"] for p in parts)
+    row["verified"] = all(p["verified"] for p in parts)
+    if row["verified"]:
         row["presentations"] = [p["presentation"] for p in parts]
         return row, OK
-    row["verified"] = False
     bad = [f for p in parts for f in p["failures"]]
     row["failure"] = "verification: " + "; ".join(bad[:4])
     return row, VERIFICATION
@@ -207,13 +197,18 @@ def _format_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _nsis_report(rows: list[dict]) -> dict:
+    """nsis_ratio_report over the rows with crossings and an NSIS size."""
+    return nsis_ratio_report([
+        {"name": r["name"], "n": r["n"], "nsis_max": r["nsis_max"],
+         "m_max": r["m_max"]}
+        for r in rows if r.get("nsis_max") is not None and r.get("n")])
+
+
 def _format_json(rows: list[dict], severity: int, config: RunConfig) -> str:
     payload = {"rows": [_row_public(r) for r in rows], "exit": severity}
     if config.nsis:
-        records = [{"name": r["name"], "n": r["n"], "nsis_max": r["nsis_max"],
-                    "m_max": r["m_max"]}
-                   for r in rows if r.get("nsis_max") is not None and r.get("n")]
-        payload["nsis_report"] = nsis_ratio_report(records)
+        payload["nsis_report"] = _nsis_report(rows)
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -248,10 +243,7 @@ def _format_text(rows: list[dict], severity: int, config: RunConfig) -> str:
         counts[key if key in counts else "verification"] += 1
     lines.append("summary: " + " ".join(f"{k}={v}" for k, v in counts.items()))
     if config.nsis:
-        records = [{"name": r["name"], "n": r["n"], "nsis_max": r["nsis_max"],
-                    "m_max": r["m_max"]}
-                   for r in rows if r.get("nsis_max") is not None and r.get("n")]
-        rep = nsis_ratio_report(records)
+        rep = _nsis_report(rows)
         if rep["rows"]:
             lines.append(f"min nsis_max/n = {rep['min_nsis_ratio']:.4f}")
             lines.append(f"min m_max/n = {rep['min_m_ratio']:.4f}")
@@ -269,9 +261,7 @@ def run(path: str, config: RunConfig, out=None) -> int:
     rows, severity = [], OK
     for name, body, err in entries:
         if err is not None:
-            row = {c: None for c in CSV_COLUMNS}
-            row.update(name=name, failure=err, notes=[])
-            sev = PARSE
+            row, sev = _blank_row(name, err), PARSE
         else:
             row, sev = analyze_entry(name, body, config)
         rows.append(row)

@@ -106,15 +106,14 @@ def certify(comp: PlaneDiagram, config: RunConfig | None = None) -> Certificate:
     cx = CellComplex(comp)
     search = None
     if not config.extend:
-        est = ExtendedSpanningTree(edges=spanning_tree(cx, seed=config.seed),
-                                   faces=frozenset())
+        est = ExtendedSpanningTree(edges=spanning_tree(cx), faces=frozenset())
         m_mode = "tree-only"
     elif config.exact:
         search = exact_max_faces(cx, budget=config.budget)
         est = search.est
         m_mode = "exact" if search.exact else "exact(budget-hit)"
     else:
-        est = greedy_max_faces(cx, seed=config.seed)
+        est = greedy_max_faces(cx)
         m_mode = "greedy"
 
     raw, raw_report, final, report, pres, pages = _walk(est, cx)

@@ -13,8 +13,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .cells import (CellComplex, Subcomplex, _Forest, _UndoForest,
-                    euler_characteristic, subcomplex_components)
+from .cells import (CellComplex, Subcomplex, _Forest, euler_characteristic,
+                    subcomplex_components)
 from .errors import DiagramError, InternalError
 
 
@@ -57,7 +57,7 @@ def spanning_tree(cx: CellComplex, strategy: str = "bfs",
     if strategy == "random":
         order = list(range(d.edge_count))
         random.Random(seed).shuffle(order)
-        forest = _Forest()
+        forest = _Forest(d.n)
         return frozenset(e for e in order
                          if forest.union(*d.edge_endpoints(e)))
 
@@ -113,8 +113,8 @@ def face_set_feasible(faces, cx: CellComplex) -> bool:
     bridging edges only merge components, they cannot kill homology.
     The subcomplex-enumeration oracle validates this criterion, and this
     function, rebuilding every component in O(n) per call, is in turn the
-    test oracle for the incremental _Forest.add_face that the greedy and
-    witness searches use.
+    test oracle for the incremental _Forest.add_face that the greedy,
+    exact and witness searches use.
     """
     faces = frozenset(faces)
     if not _pairwise_edge_disjoint(faces, cx):
@@ -136,7 +136,7 @@ def complete_to_est(faces, cx: CellComplex) -> ExtendedSpanningTree:
         raise DiagramError("face set is not feasible")
     edges = set(_boundary_edges(faces, cx))
     d = cx.diagram
-    forest = _Forest()
+    forest = _Forest(cx.n)
     for e in edges:
         forest.union(*d.edge_endpoints(e))
     for e in range(d.edge_count):
@@ -169,11 +169,11 @@ def greedy_max_faces(cx: CellComplex, order: str = "by-size",
     """Grow a feasible face set greedily, then bridge it.
 
     Each candidate face is tested incrementally by _Forest.add_face in
-    amortized O(|f| log n), so with the face ordering the search is
-    O(n log n); complete_to_est then runs the O(n) face_set_feasible
-    oracle once on the result.
+    O(|f| log n), so with the face ordering the search is O(n log n);
+    complete_to_est then runs the O(n) face_set_feasible oracle once on
+    the result.
     """
-    forest = _Forest()
+    forest = _Forest(cx.n)
     chosen = [f for f in _face_order(cx, order, seed)
               if forest.add_face(f, cx)]
     return complete_to_est(chosen, cx)
@@ -189,7 +189,7 @@ def exact_max_faces(cx: CellComplex, budget: int = 10_000_000) -> SearchResult:
 
     Depth-first with an explicit stack, including the next candidate
     before excluding it, so no input size can exhaust the recursion
-    limit.  A node tests its candidate face on an _UndoForest in
+    limit.  A node tests its candidate face with _Forest.add_face in
     O(|f| log n); an include then drops the candidates sharing an edge
     with it in O(candidates), and undoing it before the exclude sibling
     costs O(|f|).  face_set_feasible runs once, in complete_to_est on the
@@ -197,7 +197,7 @@ def exact_max_faces(cx: CellComplex, budget: int = 10_000_000) -> SearchResult:
     """
     adj = cx.dual_graph().adjacency
     order = sorted(range(cx.face_count), key=lambda f: (len(adj[f]), f))
-    forest = _UndoForest(cx)
+    forest = _Forest(cx.n)
     chosen: list[int] = []
     best, best_set = 0, frozenset()
     nodes = 0
@@ -219,7 +219,7 @@ def exact_max_faces(cx: CellComplex, budget: int = 10_000_000) -> SearchResult:
         if len(chosen) + len(candidates) - start <= best:
             continue
         f = candidates[start]
-        if forest.add_face(f):
+        if forest.add_face(f, cx):
             chosen.append(f)
             stack.append((candidates, start + 1, True))
             near = adj[f]
@@ -246,7 +246,7 @@ def oracle_max_faces(cx: CellComplex) -> int:
     all_edges = range(d.edge_count)
 
     def connects(edge_set) -> bool:
-        forest = _Forest()
+        forest = _Forest(d.n)
         return sum(forest.union(*d.edge_endpoints(e))
                    for e in edge_set) == d.n - 1
 
@@ -275,9 +275,10 @@ def witness_pair(cx: CellComplex) -> Witness:
     edges are part of a spanning tree by construction (two distinct
     non-loop, non-parallel adjacent edges always extend to one).
 
-    Each (fa, fb) pair is tested on a fresh _Forest in O(|fa| + |fb|),
-    not by an O(n) face_set_feasible rebuild; at most 24 pairs are tried
-    per crossing, after an O(n) is_reduced check.
+    Each (fa, fb) pair is tested with _Forest.add_face on one forest,
+    which undo() empties again after a failed pair, in O((|fa| + |fb|)
+    log n), not by an O(n) face_set_feasible rebuild; at most 24 pairs
+    are tried per crossing, after an O(n) is_reduced check.
     """
     d = cx.diagram
     if d.n < 3:
@@ -289,6 +290,7 @@ def witness_pair(cx: CellComplex) -> Witness:
         a, b = d.edge_endpoints(e)
         incident[a].append(e)
         incident[b].append(e)
+    forest = _Forest(d.n)
     for c in range(d.n):
         edges = sorted(set(incident[c]))
         for ea, eb in itertools.combinations(edges, 2):
@@ -296,12 +298,12 @@ def witness_pair(cx: CellComplex) -> Witness:
                 continue  # parallel pair cannot both sit in a tree
             for fa in cx.edge_sides(ea):
                 for fb in cx.edge_sides(eb):
-                    if fa == fb:
+                    if fa == fb or not forest.add_face(fa, cx):
                         continue
-                    forest = _Forest()
-                    if forest.add_face(fa, cx) and forest.add_face(fb, cx):
+                    if forest.add_face(fb, cx):
                         return Witness(edge_a=ea, edge_b=eb,
                                        face_a=fa, face_b=fb)
+                    forest.undo()
     raise InternalError(
         "no feasible face pair sits on two edges sharing a crossing; "
         "the length-two-path argument does not apply to this diagram "

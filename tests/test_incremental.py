@@ -1,10 +1,11 @@
 """The near-linear tests of the default pipeline against their references.
 
 Incremental face feasibility, the one-pass is_reduced, the sweep
-chord-crossing scan, the one-pass repair and the two explicit-stack
-exact searches each replaced a slower version that is still in the code
-or spelled out here; both must give the same answers on corpus diagrams
-and on generated braid closures, switched crossings included.
+chord-crossing scan, the one-pass repair, the two explicit-stack exact
+searches and the union-find component counts each replaced a slower
+version that is still in the code or spelled out here; both must give
+the same answers on corpus diagrams and on generated braid closures,
+switched crossings included.
 """
 
 import itertools
@@ -15,6 +16,8 @@ import pytest
 import threepage as tp
 from threepage import binding, presentation, spanning
 from threepage.binding import chords_cross, crossing_pairs
+from threepage.cells import (Subcomplex, _Forest, complement_components,
+                             subcomplex_components)
 from threepage.diagram import articulation_points
 from threepage.nsis import NsisResult, _connected
 from threepage.spanning import SearchResult, complete_to_est, face_set_feasible
@@ -246,6 +249,56 @@ def reference_nsis_exact(graph, budget=10_000_000):
                       exact=not state["exhausted"], nodes=state["nodes"])
 
 
+def reference_subcomplex_components(sub, cx):
+    """Pieces of a closed subcomplex by a graph search over its edges."""
+    adj = {v: set() for v in sub.vertices}
+    for e in sub.edges:
+        a, b = cx.diagram.edge_endpoints(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    pieces, seen = [], set()
+    for root in sorted(sub.vertices):
+        if root in seen:
+            continue
+        seen.add(root)
+        piece, queue = {root}, [root]
+        while queue:
+            for w in adj[queue.pop()] - seen:
+                seen.add(w)
+                piece.add(w)
+                queue.append(w)
+        edges = {e for e in sub.edges
+                 if cx.diagram.edge_endpoints(e)[0] in piece}
+        faces = {f for f in sub.faces if cx.face_edges(f)[0] in edges}
+        pieces.append(Subcomplex(vertices=frozenset(piece),
+                                 edges=frozenset(edges),
+                                 faces=frozenset(faces)))
+    return pieces
+
+
+def reference_complement_components(sub, cx):
+    """Faces outside sub, joined across omitted edges, counted by search."""
+    outside = set(range(cx.face_count)) - sub.faces
+    adj = {f: set() for f in outside}
+    for e in range(cx.diagram.edge_count):
+        a, b = cx.edge_sides(e)
+        if e not in sub.edges and a in outside and b in outside:
+            adj[a].add(b)
+            adj[b].add(a)
+    count, seen = 0, set()
+    for root in outside:
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        queue = [root]
+        while queue:
+            for g in adj[queue.pop()] - seen:
+                seen.add(g)
+                queue.append(g)
+    return count
+
+
 def components(text):
     return tp.parse_pd(text).connected_components()
 
@@ -390,6 +443,62 @@ def test_articulation_points_match_reference(text, data):
         assert cut == reference_articulation_points(verts, adj)
 
 
+def forest_state(forest):
+    return list(forest.parent), list(forest.size), set(forest.used)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closures(max_n=16), st.data())
+def test_forest_undo_restores_state(text, data):
+    """Any mix of add_face and undo: each undo gives back the exact state
+    from before its face, a refused face changes nothing, and add_face
+    agrees with face_set_feasible."""
+    cx = tp.CellComplex(components(text)[0])
+    forest = _Forest(cx.n)
+    steps = data.draw(st.lists(
+        st.one_of(st.none(), st.integers(0, cx.face_count - 1)), max_size=40))
+    saved, chosen = [], []
+    for f in steps:
+        before = forest_state(forest)
+        if f is None:
+            if saved:
+                forest.undo()
+                chosen.pop()
+                assert forest_state(forest) == saved.pop()
+            continue
+        want = f not in chosen and face_set_feasible({*chosen, f}, cx)
+        assert forest.add_face(f, cx) == want
+        if want:
+            saved.append(before)
+            chosen.append(f)
+        else:
+            assert forest_state(forest) == before
+    while saved:
+        forest.undo()
+        assert forest_state(forest) == saved.pop()
+    assert forest_state(forest) == (list(range(cx.n)), [1] * cx.n, set())
+
+
+@settings(max_examples=150, deadline=None)
+@given(closures(max_n=16), st.data())
+def test_component_counts_match_search(text, data):
+    """On random closed subcomplexes: the union-find pieces and complement
+    count equal a graph search."""
+    cx = tp.CellComplex(components(text)[0])
+    d = cx.diagram
+    faces = data.draw(st.sets(st.integers(0, cx.face_count - 1)))
+    edges = data.draw(st.sets(st.integers(0, d.edge_count - 1)))
+    edges |= {e for f in faces for e in cx.face_edges(f)}
+    verts = data.draw(st.sets(st.integers(0, cx.n - 1)))
+    verts |= {v for e in edges for v in d.edge_endpoints(e)}
+    sub = Subcomplex(vertices=frozenset(verts), edges=frozenset(edges),
+                     faces=frozenset(faces))
+    assert subcomplex_components(sub, cx) == \
+        reference_subcomplex_components(sub, cx)
+    assert complement_components(sub, cx) == \
+        reference_complement_components(sub, cx)
+
+
 @pytest.mark.parametrize("text, reduced", [
     (KINK, False),                                    # n = 1, loop edges
     (braid_closure_pd([1, 2], 3), False),             # n = 2, loop edges
@@ -456,6 +565,20 @@ def test_default_path_makes_no_quadratic_calls(monkeypatch):
     pres = tp.to_presentation(tp.repair(seq, cx.diagram))
     assert tp.verify_pages(pres).ok
     assert crossed == []
+
+
+def test_witness_pair_builds_one_forest(monkeypatch):
+    """A failed face pair is undone on the same forest, not rebuilt."""
+    built = counting(monkeypatch, spanning, "_Forest")
+    calls = 0
+    for d in FIXED_DIAGRAMS:
+        if d.n >= 3 and d.is_reduced():
+            try:
+                tp.witness_pair(tp.CellComplex(d))
+            except tp.InternalError:
+                pass    # no pair found: every pair was tried and undone
+            calls += 1
+    assert calls > 0 and len(built) == calls
 
 
 def test_exact_searches_make_one_pass_per_node(monkeypatch):
