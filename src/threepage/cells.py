@@ -10,14 +10,21 @@ not describe a sphere embedding and the input is rejected.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 from .diagram import PlaneDiagram, crossing_of, rotate
 from .errors import DiagramError
 
 
 class CellComplex:
-    """Faces, incidences and the dual graph of a connected diagram."""
+    """Faces, incidences and the dual graph of a connected diagram.
+
+    The dual graph and the full subcomplex are built on first use and
+    then kept; both are read-only.
+    """
 
     def __init__(self, diagram: PlaneDiagram):
         if diagram.n == 0:
@@ -107,6 +114,10 @@ class CellComplex:
         return tuple(colors)
 
     def dual_graph(self) -> "DualGraph":
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "DualGraph":
         colors = self.checkerboard()
         parallel = tuple((e, *self.edge_sides(e))
                          for e in range(self.diagram.edge_count))
@@ -118,12 +129,17 @@ class CellComplex:
         return DualGraph(
             face_count=self.face_count,
             parallel_edges=parallel,
-            adjacency={f: frozenset(s) for f, s in adj.items()},
+            adjacency=MappingProxyType(
+                {f: frozenset(s) for f, s in adj.items()}),
             classes=(frozenset(f for f, c in enumerate(colors) if c == 0),
                      frozenset(f for f, c in enumerate(colors) if c == 1)),
         )
 
     def full_subcomplex(self) -> "Subcomplex":
+        return self._full
+
+    @cached_property
+    def _full(self) -> "Subcomplex":
         return Subcomplex(
             vertices=frozenset(range(self.n)),
             edges=frozenset(range(self.diagram.edge_count)),
@@ -137,7 +153,7 @@ class DualGraph:
 
     face_count: int
     parallel_edges: tuple[tuple[int, int, int], ...]  # (primal edge, f, g)
-    adjacency: dict[int, frozenset[int]]
+    adjacency: Mapping[int, frozenset[int]]  # read-only
     classes: tuple[frozenset[int], frozenset[int]]
 
 
@@ -196,7 +212,7 @@ class _Forest:
         """
         edges = cx.face_edges(f)
         used = self.used
-        if any(e in used for e in edges):
+        if not used.isdisjoint(edges):
             return False
         roots = {self.find(v) for v in cx.face_vertices(f)}
         if len(roots) != len(edges):
@@ -223,13 +239,10 @@ class _Forest:
 
 def is_closed(sub: Subcomplex, cx: CellComplex) -> bool:
     """Closure: boundaries of included cells are included too."""
-    for f in sub.faces:
-        if not set(cx.face_edges(f)) <= sub.edges:
-            return False
-    for e in sub.edges:
-        if not set(cx.diagram.edge_endpoints(e)) <= sub.vertices:
-            return False
-    return True
+    endpoints = cx.diagram.edge_endpoints
+    return (all(sub.edges.issuperset(cx.face_edges(f)) for f in sub.faces)
+            and all(sub.vertices.issuperset(endpoints(e))
+                    for e in sub.edges))
 
 
 def _require_closed(sub: Subcomplex, cx: CellComplex) -> None:
@@ -242,6 +255,15 @@ def euler_characteristic(sub: Subcomplex, cx: CellComplex) -> int:
     return len(sub.vertices) - len(sub.edges) + len(sub.faces)
 
 
+def _edge_forest(sub: Subcomplex, cx: CellComplex) -> _Forest:
+    """Union-find over the crossings, joined along the edges of sub."""
+    endpoints = cx.diagram.edge_endpoints
+    forest = _Forest(cx.n)
+    for e in sub.edges:
+        forest.union(*endpoints(e))
+    return forest
+
+
 def subcomplex_components(sub: Subcomplex, cx: CellComplex) -> list[Subcomplex]:
     """Connected pieces of the underlying space, via cell incidence.
 
@@ -250,9 +272,7 @@ def subcomplex_components(sub: Subcomplex, cx: CellComplex) -> list[Subcomplex]:
     """
     _require_closed(sub, cx)
     endpoints = cx.diagram.edge_endpoints
-    forest = _Forest(cx.n)
-    for e in sub.edges:
-        forest.union(*endpoints(e))
+    forest = _edge_forest(sub, cx)
     groups: dict[int, tuple[list, list, list]] = {}
 
     def piece(v: int) -> tuple[list, list, list]:
@@ -279,13 +299,21 @@ def is_contractible(sub: Subcomplex, cx: CellComplex) -> bool:
     contractible exactly when it is connected with trivial first homology,
     and chi = 1 pins that down.  The complement-connectivity count below
     stays available as an independent check of the same property.
+
+    One closure check, O(|sub|); then chi from the cell counts and, when
+    it is 1, one union-find pass over the edges, O(|sub| log n).  In a
+    closed subcomplex every edge and face lies in the piece of its
+    vertices, so the pieces are counted by the roots of the vertices.
     """
     if sub == cx.full_subcomplex():
         return False
     if sub.cell_count() == 0:
         return False
-    comps = subcomplex_components(sub, cx)
-    return len(comps) == 1 and euler_characteristic(sub, cx) == 1
+    _require_closed(sub, cx)
+    if len(sub.vertices) - len(sub.edges) + len(sub.faces) != 1:
+        return False
+    forest = _edge_forest(sub, cx)
+    return len({forest.find(v) for v in sub.vertices}) == 1
 
 
 def complement_components(sub: Subcomplex, cx: CellComplex) -> int:

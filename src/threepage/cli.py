@@ -6,8 +6,9 @@ plus SVG figures on request.  Output bytes are a function of the input
 file, the seed and the flags; nothing else leaks in.
 
 Exit codes: 0 ok, 1 parse error, 2 validation error, 3 verification
-failure.  A bound is only ever printed when its presentation passed
-every verifier; failing rows carry the failure text instead.
+failure or an internal error.  A bound is only ever printed when its
+presentation passed every verifier; failing rows carry the failure text
+instead.
 """
 
 from __future__ import annotations
@@ -114,7 +115,13 @@ def _blank_row(name: str, failure: str | None = None) -> dict:
 
 
 def analyze_entry(name: str, body: str, config: RunConfig) -> tuple[dict, int]:
-    """One report row plus its severity; never raises."""
+    """One report row plus its severity; never raises.
+
+    An exception no step is documented to raise is a bug: its traceback
+    goes to stderr and the row fails as ``internal: <Type>: <message>``
+    with severity 3, so the other rows of a batch run are still reported
+    and exit 1 keeps meaning a parse error.
+    """
     row = _blank_row(name)
     try:
         components = parse_pd(body).connected_components()
@@ -131,6 +138,11 @@ def analyze_entry(name: str, body: str, config: RunConfig) -> tuple[dict, int]:
         return row, VALIDATION
     except InternalError as exc:
         row["failure"] = f"verification: {exc}"
+        return row, VERIFICATION
+    except Exception as exc:  # a bug; keep the other rows going
+        import traceback  # only on this path: it costs start-up time
+        traceback.print_exc(file=sys.stderr)
+        row["failure"] = f"internal: {type(exc).__name__}: {exc}"
         return row, VERIFICATION
 
     for key in SUMMED:

@@ -13,6 +13,7 @@ counterclockwise rotation at a crossing is slot -> slot + 1 (mod 4).
 from __future__ import annotations
 
 import re
+from functools import cached_property
 
 from .errors import DiagramError, PDSyntaxError
 
@@ -21,6 +22,7 @@ OVER = "over"
 
 _ENTRY_RE = re.compile(r"X\s*[(\[]([^)\]]*)[)\]]")
 _PD_RE = re.compile(r"PD\s*\[(.*)\]\s*$", re.DOTALL)
+_LABEL_RE = re.compile(r"\d+")
 
 
 def dart_id(crossing: int, slot: int) -> int:
@@ -45,7 +47,14 @@ def strand_slot_type(slot: int) -> str:
 
 
 class PlaneDiagram:
-    """Immutable PD code with its derived edge structure."""
+    """Immutable PD code with its derived edge structure.
+
+    Edge darts and endpoints are computed in the constructor.  The
+    crossing adjacency, the split into connected pieces and is_reduced
+    are computed on first use and then kept: each is a fact of the code,
+    which never changes, and each is handed out as a tuple (or a bool),
+    so no caller can alter what the next one reads.
+    """
 
     def __init__(self, crossings):
         rows = []
@@ -74,6 +83,8 @@ class PlaneDiagram:
         for e, (d1, d2) in enumerate(self.edge_darts):
             self._edge_of_dart[d1] = e
             self._edge_of_dart[d2] = e
+        self._edge_ends = tuple((crossing_of(d1), crossing_of(d2))
+                                for d1, d2 in self.edge_darts)
 
     @property
     def n(self) -> int:
@@ -95,33 +106,36 @@ class PlaneDiagram:
         return d2 if dart == d1 else d1
 
     def edge_endpoints(self, edge: int) -> tuple[int, int]:
-        d1, d2 = self.edge_darts[edge]
-        return crossing_of(d1), crossing_of(d2)
+        return self._edge_ends[edge]
 
     def strand_type(self, dart: int) -> str:
         return strand_slot_type(slot_of(dart))
 
     def loop_edges(self) -> tuple[int, ...]:
         """Edges whose two ends sit at the same crossing."""
-        return tuple(e for e in range(self.edge_count)
-                     if len(set(self.edge_endpoints(e))) == 1)
+        return tuple(e for e, (a, b) in enumerate(self._edge_ends) if a == b)
 
     def is_alternating(self) -> bool:
-        """True when every edge joins an under end to an over end."""
-        return all(self.strand_type(d1) != self.strand_type(d2)
-                   for d1, d2 in self.edge_darts)
+        """True when every edge joins an under end to an over end.
 
-    def _adjacency(self) -> list[list[int]]:
+        Under ends sit in even slots and over ends in odd ones, and a
+        dart's parity is its slot's, so the two darts of each edge must
+        differ in parity.
+        """
+        return all((d1 ^ d2) & 1 for d1, d2 in self.edge_darts)
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for d1, d2 in self.edge_darts:
-            a, b = crossing_of(d1), crossing_of(d2)
+        for a, b in self._edge_ends:
             adj[a].append(b)
             if b != a:
                 adj[b].append(a)
-        return adj
+        return tuple(map(tuple, adj))
 
-    def _component_sets(self) -> list[list[int]]:
-        adj = self._adjacency()
+    @cached_property
+    def _component_sets(self) -> tuple[tuple[int, ...], ...]:
+        adj = self._adjacency
         seen = [False] * self.n
         comps = []
         for start in range(self.n):
@@ -137,18 +151,22 @@ class PlaneDiagram:
                     if not seen[w]:
                         seen[w] = True
                         queue.append(w)
-            comps.append(sorted(comp))
-        return comps
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return len(self._component_sets()) == 1
+        return len(self._component_sets) <= 1
 
     def connected_components(self) -> list["PlaneDiagram"]:
-        """Split into diagrams, one per connected piece of the plane graph."""
+        """Split into diagrams, one per connected piece of the plane graph.
+
+        A connected diagram is its own single piece: [self].
+        """
+        comps = self._component_sets
+        if len(comps) == 1:
+            return [self]
         return [PlaneDiagram([self.crossings[c] for c in comp])
-                for comp in self._component_sets()]
+                for comp in comps]
 
     def is_reduced(self) -> bool:
         """True iff no crossing is a cut point of the underlying graph.
@@ -157,16 +175,21 @@ class PlaneDiagram:
         its own block, so the crossing separates it from the rest.  With
         that convention a reduced diagram has four pairwise distinct edges
         at every crossing and a 2-connected underlying graph.  O(n): one
-        articulation-point pass over the underlying graph.
+        articulation-point pass over the underlying graph, on the first
+        call only.
         """
+        return self._reduced
+
+    @cached_property
+    def _reduced(self) -> bool:
         if not self.is_connected():
             raise DiagramError("is_reduced requires a connected diagram")
         if self.loop_edges():
             return False
         if self.n <= 2:
             return True
-        return not articulation_points(set(range(self.n)),
-                                       self._adjacency())[0]
+        return not cut_vertices(self._adjacency, bytearray(b"\x01") * self.n,
+                                0)[0]
 
     def __repr__(self):
         inner = ", ".join("X" + str(row) for row in self.crossings)
@@ -183,49 +206,72 @@ class PlaneDiagram:
         return hash(self.crossings)
 
 
-def articulation_points(verts: set[int], adj) -> tuple[set[int], int]:
-    """Cut vertices of the induced subgraph on verts, and its reach.
+def cut_vertices(nbrs, alive, root: int) -> tuple[set[int], int]:
+    """Cut vertices of the subgraph induced by alive, and the pass's reach.
 
-    One iterative Hopcroft-Tarjan depth-first pass from min(verts),
-    O(V + E).  The second value counts the vertices the pass reached, so
-    verts induces a connected subgraph iff it equals len(verts); only
-    then is the first value the cut set of the whole subgraph.  adj maps
-    each vertex to an iterable of neighbors; repeated neighbors (parallel
-    edges) are harmless, and the neighbor order does not change the cut
-    set.
+    Vertices are 0..V-1: nbrs[v] lists the neighbors of v (repeated
+    neighbors, i.e. parallel edges, are harmless, and their order does
+    not change the cut set) and alive[v] is nonzero for the vertices of
+    the subgraph.  One iterative Hopcroft-Tarjan depth-first pass from
+    the live vertex root, O(V + E), on flat lists.  The second value
+    counts the vertices the pass reached, so the subgraph is connected
+    iff it equals the number of live vertices; only then is the first
+    value the cut set of the whole subgraph.
     """
-    root = min(verts)
-    disc = {root: 0}
-    low = {root: 0}
-    parent: dict[int, int | None] = {root: None}
+    disc = [-1] * len(nbrs)
+    low = [0] * len(nbrs)
+    disc[root] = 0
+    reached = 1
     out: set[int] = set()
-    stack = [(root, iter(adj[root]))]
     root_children = 0
+    # The stack is the tree path from root, so a vertex's tree parent is
+    # the entry below it.  The edge back to the parent may lower low[v]
+    # to disc[parent]; that leaves the cut test low[v] >= disc[parent]
+    # unchanged, so parallel edges need no special case either.
+    stack = [(root, iter(nbrs[root]))]
     while stack:
         v, it = stack[-1]
         for u in it:
-            if u not in verts:
-                continue
-            if u not in disc:
-                parent[u] = v
-                disc[u] = low[u] = len(disc)
-                if v == root:
-                    root_children += 1
-                stack.append((u, iter(adj[u])))
-                break
-            if u != parent[v] and disc[u] < low[v]:
-                low[v] = disc[u]
+            if alive[u]:
+                du = disc[u]
+                if du < 0:
+                    disc[u] = low[u] = reached
+                    reached += 1
+                    stack.append((u, iter(nbrs[u])))
+                    break
+                if du < low[v]:
+                    low[v] = du
         else:
             stack.pop()
-            p = parent[v]
-            if p is not None:
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if p != root and low[v] >= disc[p]:
-                    out.add(p)
+            if stack:
+                p = stack[-1][0]
+                lv = low[v]
+                if lv < low[p]:
+                    low[p] = lv
+                if lv >= disc[p]:
+                    if p == root:
+                        root_children += 1
+                    else:
+                        out.add(p)
     if root_children > 1:
         out.add(root)
-    return out, len(disc)
+    return out, reached
+
+
+def articulation_points(verts: set[int], adj) -> tuple[set[int], int]:
+    """Cut vertices of the induced subgraph on verts, and its reach.
+
+    verts may hold any ints; adj maps each vertex to an iterable of
+    neighbors, which may lie outside verts.  The vertices are numbered
+    0..V-1 for one cut_vertices pass, O(V + E), so verts induces a
+    connected subgraph iff the second value equals len(verts); only then
+    is the first value the cut set of the whole subgraph.
+    """
+    ids = list(verts)
+    index = {v: i for i, v in enumerate(ids)}
+    nbrs = [[index[u] for u in adj[v] if u in index] for v in ids]
+    cut, reached = cut_vertices(nbrs, bytearray(b"\x01") * len(ids), 0)
+    return {ids[i] for i in cut}, reached
 
 
 def parse_pd(text: str) -> PlaneDiagram:
@@ -248,7 +294,7 @@ def parse_pd(text: str) -> PlaneDiagram:
     consumed = []
     for entry in _ENTRY_RE.finditer(body):
         parts = [p.strip() for p in entry.group(1).split(",")]
-        if not all(re.fullmatch(r"\d+", p) for p in parts):
+        if not all(_LABEL_RE.fullmatch(p) for p in parts):
             raise PDSyntaxError(f"bad crossing entry: {entry.group(0)!r}")
         rows.append(tuple(int(p) for p in parts))
         consumed.append(entry.group(0))

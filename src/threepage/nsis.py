@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .cells import DualGraph
-from .diagram import articulation_points
+from .diagram import articulation_points, cut_vertices
 from .errors import DiagramError
 
 
@@ -100,52 +100,64 @@ def nsis_exact(graph: SimpleGraph, budget: int = 10_000_000) -> NsisResult:
 
     Depth-first with an explicit stack, including the next candidate
     before excluding it, so no input size can exhaust the recursion
-    limit.  A node that tries its candidate runs one articulation_points
-    pass over the residual, O(V + E), which also tells whether the
-    residual is connected; an include then filters the candidates in
-    O(candidates), and putting the vertex back costs O(1).
+    limit.  The search runs on the vertices renumbered 0..V-1 in id
+    order, with neighbor tuples and the residual as a bytearray; ids are
+    mapped back only in the result.  A node that tries its candidate runs
+    one cut_vertices pass over the residual, O(V + E) on flat lists,
+    which also tells whether the residual is connected; an include then
+    filters the candidates in O(candidates), and putting the vertex back
+    costs O(1).  Neither the cut set nor the connectivity answer depends
+    on the numbering, so the nodes visited do not either.
     """
     if not graph.is_connected():
         raise DiagramError("nsis search requires a connected graph")
-    order = sorted(graph.vertices, key=lambda v: (-graph.degree(v), v))
     adj = graph.adjacency
-    residual = set(graph.vertices)
-    start_cut, _ = articulation_points(residual, adj)
+    ids = sorted(graph.vertices)
+    index = {v: i for i, v in enumerate(ids)}
+    nbrs = [tuple(index[u] for u in adj[v]) for v in ids]
+    near = [frozenset(t) for t in nbrs]
+    start_cut, _ = articulation_points(set(ids), adj)
+    order = sorted(graph.vertices, key=lambda v: (-graph.degree(v), v))
+    residual = bytearray(b"\x01") * len(ids)
+    remaining = len(ids)
     chosen: list[int] = []
-    best, best_set = 0, frozenset()
+    best, best_set = 0, ()
     nodes = 0
     exhausted = False
     # (candidates, start, undo): the node for candidates[start:], after
     # returning the last chosen vertex to the residual when undo is set.
-    stack = [([v for v in order if v not in start_cut], 0, False)]
+    stack = [([index[v] for v in order if v not in start_cut], 0, False)]
     while stack:
         candidates, start, undo = stack.pop()
         if undo:
-            residual.add(chosen.pop())
+            residual[chosen.pop()] = 1
+            remaining += 1
         nodes += 1
         if nodes > budget:
             exhausted = True
             break
         if len(chosen) > best:
-            best, best_set = len(chosen), frozenset(chosen)
+            best, best_set = len(chosen), tuple(chosen)
         if len(chosen) + len(candidates) - start <= best:
             continue
         v = candidates[start]
-        residual.discard(v)
+        residual[v] = 0
+        remaining -= 1
         connected = False
-        if residual:
-            cut, reached = articulation_points(residual, adj)
-            connected = reached == len(residual)
+        if remaining:
+            cut, reached = cut_vertices(nbrs, residual, residual.index(1))
+            connected = reached == remaining
         if connected:
             chosen.append(v)
             stack.append((candidates, start + 1, True))
-            near = adj[v]
+            skip = near[v]
             stack.append(([u for u in candidates[start + 1:]
-                           if u not in near and u not in cut], 0, False))
+                           if u not in skip and u not in cut], 0, False))
         else:
-            residual.add(v)
+            residual[v] = 1
+            remaining += 1
             stack.append((candidates, start + 1, False))
-    return NsisResult(size=best, vertices=best_set,
+    return NsisResult(size=best, vertices=frozenset(ids[i] for i in best_set),
                       exact=not exhausted, nodes=nodes)
 
 
@@ -153,15 +165,22 @@ def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:
     """NSIS from the leaves of a greedily grown many-leaf spanning tree.
 
     Grows the tree by always expanding the vertex that adds the most new
-    neighbors, takes the leaves inside the better bipartition class
-    (same-class vertices are independent when the classes are genuine),
-    then keeps only leaves whose removal preserves connectivity.  The
-    result always satisfies is_nsis; it may be empty.
+    neighbors, lowest id on ties, takes the leaves inside the better
+    bipartition class (same-class vertices are independent when the
+    classes are genuine), then keeps only leaves whose removal preserves
+    connectivity.  The result always satisfies is_nsis; it may be empty.
+
+    The expanding vertex comes off a heap of (-gain, id) entries.  Gains
+    only fall as the tree grows, so the top entry is recounted and pushed
+    back lower (dropped at 0) until its gain is current; it is then the
+    most-gain, lowest-id vertex, found without sorting the tree per step.
     """
     if not graph.is_connected():
         raise DiagramError("nsis search requires a connected graph")
     if graph.classes is None:
         raise DiagramError("leafy heuristic needs bipartition classes")
+    import heapq  # here: its C module adds start-up time and memory
+
     rng = random.Random(seed)
     adj = graph.adjacency
     verts = set(graph.vertices)
@@ -169,18 +188,27 @@ def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:
     root = max(verts, key=lambda v: (graph.degree(v), -v))
     in_tree = {root}
     tree_deg = {root: 0}
-    while in_tree != verts:
-        gain, pick = -1, None
-        for v in sorted(in_tree):
-            new = len(adj[v] - in_tree)
-            if new > gain:
-                gain, pick = new, v
-        if gain <= 0:
+    heap = [(-len(adj[root]), root)]
+    while len(in_tree) < len(verts):
+        if not heap:
             raise DiagramError("graph is not connected")
-        for u in sorted(adj[pick] - in_tree):
-            in_tree.add(u)
+        stored, pick = heap[0]
+        gain = len(adj[pick] - in_tree)
+        if gain != -stored:
+            if gain:
+                heapq.heapreplace(heap, (-gain, pick))
+            else:
+                heapq.heappop(heap)
+            continue
+        heapq.heappop(heap)
+        new = sorted(adj[pick] - in_tree)
+        in_tree.update(new)
+        tree_deg[pick] += len(new)
+        for u in new:
             tree_deg[u] = 1
-            tree_deg[pick] = tree_deg.get(pick, 0) + 1
+            gain = len(adj[u] - in_tree)
+            if gain:
+                heapq.heappush(heap, (-gain, u))
 
     leaves = {v for v, k in tree_deg.items() if k == 1}
     side_a, side_b = graph.classes

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from threepage import cli
 from threepage.cli import CSV_COLUMNS, main
 
 from conftest import (
@@ -96,6 +97,35 @@ class TestExitCodes:
         rows = csv_rows(out)
         assert len(rows) == 1
         assert rows[0]["name"] == "aaa_curl"
+
+    def test_unexpected_exception_fails_one_row(self, tmp_path, capsys,
+                                                monkeypatch):
+        inner = cli.certify
+
+        def certify(comp, config=None):
+            if comp.n == 3:
+                raise KeyError("boom")
+            return inner(comp, config)
+
+        monkeypatch.setattr(cli, "certify", certify)
+        path = write_entries(tmp_path, [
+            f"hopf: {HOPF}",
+            f"trefoil: {TREFOIL}",
+            f"eight: {FIGURE_EIGHT}",
+        ])
+        code, out, err = run_cli(["batch", path], capsys)
+        assert code == 3
+        rows = {r["name"]: r for r in csv_rows(out)}
+        assert rows["trefoil"]["failure"] == "internal: KeyError: 'boom'"
+        assert rows["trefoil"]["bound"] == ""
+        assert [rows[k]["verified"] for k in ("hopf", "eight")] == \
+            ["true", "true"]
+        assert "KeyError" in err
+        code, out, _ = run_cli(["batch", path, "--format", "text"], capsys)
+        assert code == 3
+        assert "trefoil: FAIL internal: KeyError: 'boom'" in out
+        assert out.splitlines()[-1] == \
+            "summary: ok=2 parse=0 validation=0 verification=1"
 
 
 class TestBounds:

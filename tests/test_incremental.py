@@ -2,10 +2,10 @@
 
 Incremental face feasibility, the one-pass is_reduced, the sweep
 chord-crossing scan, the one-pass repair, the two explicit-stack exact
-searches and the union-find component counts each replaced a slower
-version that is still in the code or spelled out here; both must give
-the same answers on corpus diagrams and on generated braid closures,
-switched crossings included.
+searches, the union-find component counts and the heap-driven leafy NSIS
+growth each replaced a slower version that is still in the code or
+spelled out here; both must give the same answers on corpus diagrams and
+on generated braid closures, switched crossings included.
 """
 
 import itertools
@@ -249,6 +249,59 @@ def reference_nsis_exact(graph, budget=10_000_000):
                       exact=not state["exhausted"], nodes=state["nodes"])
 
 
+def reference_nsis_greedy_leafy(graph, seed=0):
+    """nsis_greedy_leafy as it was: sort and scan the tree per step."""
+    if not graph.is_connected():
+        raise tp.DiagramError("nsis search requires a connected graph")
+    if graph.classes is None:
+        raise tp.DiagramError("leafy heuristic needs bipartition classes")
+    rng = random.Random(seed)
+    adj = graph.adjacency
+    verts = set(graph.vertices)
+
+    root = max(verts, key=lambda v: (graph.degree(v), -v))
+    in_tree = {root}
+    tree_deg = {root: 0}
+    while in_tree != verts:
+        gain, pick = -1, None
+        for v in sorted(in_tree):
+            new = len(adj[v] - in_tree)
+            if new > gain:
+                gain, pick = new, v
+        if gain <= 0:
+            raise tp.DiagramError("graph is not connected")
+        for u in sorted(adj[pick] - in_tree):
+            in_tree.add(u)
+            tree_deg[u] = 1
+            tree_deg[pick] = tree_deg.get(pick, 0) + 1
+
+    leaves = {v for v, k in tree_deg.items() if k == 1}
+    side_a, side_b = graph.classes
+    in_a, in_b = leaves & side_a, leaves & side_b
+    candidates = sorted(in_a if len(in_a) >= len(in_b) else in_b)
+    rng.shuffle(candidates)
+
+    kept = set()
+    for v in candidates:
+        if adj[v] & kept:
+            continue
+        rest = verts - kept - {v}
+        if rest and _connected(rest, adj):
+            kept.add(v)
+    return frozenset(kept)
+
+
+def relabel(graph, label):
+    """The same graph with vertex v renamed label[v]."""
+    classes = None if graph.classes is None else tuple(
+        frozenset(label[v] for v in side) for side in graph.classes)
+    return tp.SimpleGraph(
+        vertices=tuple(label[v] for v in graph.vertices),
+        adjacency={label[v]: frozenset(label[u] for u in nbrs)
+                   for v, nbrs in graph.adjacency.items()},
+        classes=classes)
+
+
 def reference_subcomplex_components(sub, cx):
     """Pieces of a closed subcomplex by a graph search over its edges."""
     adj = {v: set() for v in sub.vertices}
@@ -428,6 +481,65 @@ def test_searches_match_references_on_fixed_cases():
 def test_searches_match_references(text):
     for d in components(text):
         check_searches(d)
+
+
+RELABEL_BUDGETS = (3, 40, 250)
+
+
+def check_relabelled_nsis(d, rng):
+    """nsis_exact on non-contiguous ids: an order-keeping relabelling maps
+    back to the result on the dual itself, and a shuffled one equals the
+    reference on the relabelled graph, nodes included."""
+    graph = tp.SimpleGraph.from_dual(tp.CellComplex(d).dual_graph())
+    spread = relabel(graph, {f: 10 * f + 3 for f in graph.vertices})
+    ids = rng.sample(range(5 * len(graph.vertices)), len(graph.vertices))
+    shuffled = relabel(graph, dict(zip(graph.vertices, ids)))
+    for budget in RELABEL_BUDGETS:
+        got = tp.nsis_exact(spread, budget=budget)
+        assert got == reference_nsis_exact(spread, budget=budget), budget
+        back = frozenset((v - 3) // 10 for v in got.vertices)
+        assert NsisResult(size=got.size, vertices=back, exact=got.exact,
+                          nodes=got.nodes) == \
+            reference_nsis_exact(graph, budget=budget), budget
+        got = tp.nsis_exact(shuffled, budget=budget)
+        assert got == reference_nsis_exact(shuffled, budget=budget), budget
+
+
+def test_relabelled_nsis_matches_reference_on_fixed_cases():
+    rng = random.Random(11)
+    for d in FIXED_DIAGRAMS:
+        check_relabelled_nsis(d, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closures(max_n=16), st.randoms(use_true_random=False))
+def test_relabelled_nsis_matches_reference(text, rng):
+    for d in components(text):
+        check_relabelled_nsis(d, rng)
+
+
+def check_leafy(d, seeds, rng):
+    graph = tp.SimpleGraph.from_dual(tp.CellComplex(d).dual_graph())
+    ids = rng.sample(range(5 * len(graph.vertices)), len(graph.vertices))
+    shuffled = relabel(graph, dict(zip(graph.vertices, ids)))
+    for seed in seeds:
+        for g in (graph, shuffled):
+            assert tp.nsis_greedy_leafy(g, seed=seed) == \
+                reference_nsis_greedy_leafy(g, seed=seed), seed
+
+
+def test_leafy_matches_reference_on_fixed_cases():
+    rng = random.Random(5)
+    for d in FIXED_DIAGRAMS:
+        check_leafy(d, range(4), rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closures(), st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_leafy_matches_reference(text, seeds, rng):
+    for d in components(text):
+        check_leafy(d, seeds, rng)
 
 
 @settings(max_examples=150, deadline=None)
