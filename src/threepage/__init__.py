@@ -12,8 +12,8 @@ search layers.
 """
 
 from .binding import (ARC_TYPES, PAGE_BY_TYPE, Arc, ArcEnd, BindingPoint,
-                      BindingReport, BindingSequence, chords_cross, repair,
-                      verify_binding)
+                      BindingReport, BindingSequence, boundary_sequence,
+                      chords_cross, repair, verify_binding)
 from .cells import (CellComplex, DualGraph, Subcomplex, complement_components,
                     euler_characteristic, is_closed, is_contractible,
                     subcomplex_components)
@@ -22,7 +22,7 @@ from .diagram import (PlaneDiagram, canonical_form, crossing_of, dart_id,
 from .errors import DiagramError, InternalError, PDSyntaxError
 from .nsis import (NsisResult, SimpleGraph, is_nsis, nsis_exact,
                    nsis_greedy_leafy, nsis_ratio_report)
-from .pipeline import Certificate, RunConfig, boundary_sequence, certify
+from .pipeline import Certificate, RunConfig, certify
 from .presentation import (Chord, OverlayResult, PageReport, RenderOptions,
                            ThreePagePresentation, interleaving_pairs,
                            overlay_reconstruct, render_svg, to_presentation,

@@ -2,13 +2,13 @@
 
 The boundary of a small neighborhood of a contractible subcomplex Y is a
 circle.  Walked once around, it crosses the diagram at cut points: one on
-each edge of Y (on a chosen side), two on every other edge (near its two
-endpoints).  Between cuts the link falls apart into arcs of three types:
-middles of non-Y edges (outside), and per-crossing strand pieces (inside,
-all-under or all-over).  This module builds the cyclic sequence by a
-corner walk, repairs it where a non-alternating edge joins two arcs of
-the same type, and verifies the four defining conditions of a binding
-circle.
+each edge of Y (where the walk first passes it), two on every other edge
+(near its two endpoints).  Between cuts the link falls apart into arcs of
+three types: middles of non-Y edges (outside), and per-crossing strand
+pieces (inside, all-under or all-over).  This module builds the cyclic
+sequence by a corner walk, repairs it where a non-alternating edge joins
+two arcs of the same type, and verifies the four defining conditions of a
+binding circle.
 """
 
 from __future__ import annotations
@@ -164,12 +164,11 @@ def _require_valid(est: ExtendedSpanningTree, cx: CellComplex) -> None:
         raise DiagramError("extended spanning tree is not contractible")
 
 
-def corner_walk(est: ExtendedSpanningTree, cx: CellComplex,
-                side: int) -> BindingSequence:
+def boundary_sequence(est: ExtendedSpanningTree,
+                      cx: CellComplex) -> BindingSequence:
     """Unrepaired cut sequence of the boundary walk around est, 3n+1-m points.
 
-    Edge cuts on tree edges with two walk sides go on the first-traversed
-    side when side is 0 and on the other one when side is 1.
+    Each tree edge is cut where the walk first passes it.
     """
     _require_valid(est, cx)
     d = cx.diagram
@@ -210,23 +209,9 @@ def corner_walk(est: ExtendedSpanningTree, cx: CellComplex,
         if set(orbit) != walk_darts:
             raise InternalError("boundary walk missed tree darts")
 
-        first_side: dict[int, int] = {}
-        for u in orbit:
-            first_side.setdefault(d.edge_of(u), u)
-        designated: dict[int, int] = {}
-        for e in tree:
-            sides = [x for x in d.edge_darts[e] if x in walk_darts]
-            if not sides:
-                raise InternalError("tree edge with no walk side")
-            if len(sides) == 1:
-                designated[e] = sides[0]
-            else:
-                first = first_side[e]
-                designated[e] = d.opposite(first) if side else first
-
         for u in orbit:
             e = d.edge_of(u)
-            if designated[e] == u:
+            if e not in cut_by_edge:
                 cut_by_edge[e] = emit(e, KIND_EDGE_CUT, u)
             x = rotate(d.opposite(u))
             while not in_tree[x]:

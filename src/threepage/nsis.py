@@ -167,8 +167,11 @@ def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:
     Grows the tree by always expanding the vertex that adds the most new
     neighbors, lowest id on ties, takes the leaves inside the better
     bipartition class (same-class vertices are independent when the
-    classes are genuine), then keeps only leaves whose removal preserves
-    connectivity.  The result always satisfies is_nsis; it may be empty.
+    classes are genuine), then keeps those with no kept neighbor.  Taking
+    leaves off a spanning tree leaves the rest of it connected, and not
+    empty: with V >= 3 the tree has an inner vertex, and with V = 2 the
+    two leaves are neighbors.  So the result always satisfies is_nsis; it
+    may be empty.
 
     The expanding vertex comes off a heap of (-gain, id) entries.  Gains
     only fall as the tree grows, so the top entry is recounted and pushed
@@ -218,10 +221,7 @@ def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:
 
     kept: set[int] = set()
     for v in candidates:
-        if adj[v] & kept:
-            continue
-        rest = verts - kept - {v}
-        if rest and _connected(rest, adj):
+        if not adj[v] & kept:
             kept.add(v)
     return frozenset(kept)
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binding import (BindingReport, BindingSequence, corner_walk, repair,
-                      verify_binding)
+from .binding import (BindingReport, BindingSequence, boundary_sequence,
+                      repair, verify_binding)
 from .cells import CellComplex
 from .diagram import PlaneDiagram
 from .errors import InternalError
@@ -57,50 +57,13 @@ class Certificate:
         return self.binding.ok and self.pages.ok
 
 
-def _walk(est: ExtendedSpanningTree, cx: CellComplex) -> tuple:
-    """(raw, its report, repaired, its report, presentation, page report).
-
-    Per edge side: walk, verify_binding of the walk (conditions 1-3 are
-    the walk's own contract, so a failure there is a bug), repair,
-    verify_binding, to_presentation and verify_pages.  The first side
-    whose repaired circle passes both verifiers is returned: edge cuts on
-    tree edges with two walk sides go on the first-traversed side, and on
-    the other one if that fails.
-    """
-    d = cx.diagram
-    problems = []
-    for side in (0, 1):
-        raw = corner_walk(est, cx, side)
-        raw_report = verify_binding(raw, d)
-        if not (raw_report.c1_structure and raw_report.c2_coverage
-                and raw_report.c3_types):
-            raise InternalError(
-                f"boundary walk broke its own contract: {raw_report.offenders}")
-        fixed = repair(raw, d)
-        report = verify_binding(fixed, d)
-        pres = to_presentation(fixed)
-        pages = verify_pages(pres)
-        if report.ok and pages.ok:
-            return raw, raw_report, fixed, report, pres, pages
-        problems.append(f"side {side}: {report.offenders or pages.offenders}")
-    raise InternalError(
-        "binding circle invalid on both edge sides: " + "; ".join(problems))
-
-
-def boundary_sequence(est: ExtendedSpanningTree,
-                      cx: CellComplex) -> BindingSequence:
-    """Unrepaired cut sequence, 3n+1-m points, on the edge side certify
-    uses: the first whose repaired circle verifies, else InternalError."""
-    return _walk(est, cx)[0]
-
-
 def certify(comp: PlaneDiagram, config: RunConfig | None = None) -> Certificate:
     """Bound and reports for one connected diagram with at least one crossing.
 
     The tree comes from the greedy face search, the exact one under
     config.exact, or a plain spanning tree without faces when
     config.extend is off.  Under config.repair off, final is the raw
-    walk and its binding report the one the edge-side choice computed.
+    walk, and no repair or second verify_binding runs.
     """
     config = config or RunConfig()
     cx = CellComplex(comp)
@@ -116,11 +79,17 @@ def certify(comp: PlaneDiagram, config: RunConfig | None = None) -> Certificate:
         est = greedy_max_faces(cx)
         m_mode = "greedy"
 
-    raw, raw_report, final, report, pres, pages = _walk(est, cx)
-    if not config.repair:
-        final, report = raw, raw_report
-        pres = to_presentation(raw)
-        pages = verify_pages(pres)
+    raw = final = boundary_sequence(est, cx)
+    report = verify_binding(raw, comp)
+    # Conditions 1-3 are the walk's own contract, so a failure is a bug.
+    if not (report.c1_structure and report.c2_coverage and report.c3_types):
+        raise InternalError(
+            f"boundary walk broke its own contract: {report.offenders}")
+    if config.repair:
+        final = repair(raw, comp)
+        report = verify_binding(final, comp)
+    pres = to_presentation(final)
+    pages = verify_pages(pres)
     return Certificate(complex=cx, tree=est, m_mode=m_mode, search=search,
                        raw=raw, final=final, binding=report,
                        presentation=pres, pages=pages)

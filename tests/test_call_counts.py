@@ -5,6 +5,7 @@ verify_pages or exact_max_faces gets a counting wrapper in its place,
 then cli.analyze_entry runs one row.  Each step runs once per component:
 one repair and one verify_pages, and verify_binding twice (the raw walk,
 whose conditions 1-3 are its own contract, and the repaired circle).
+Under --no-repair the raw walk's verify_binding is the only one.
 """
 
 import sys
@@ -46,6 +47,17 @@ def test_repaired_row_runs_each_step_once(calls, text, parts):
     assert severity == cli.OK and row["components"] == parts
     assert row["points_after"] < row["points_before"]
     assert calls == {"repair": parts, "verify_binding": 2 * parts,
+                     "verify_pages": parts, "exact_max_faces": 0}
+
+
+@pytest.mark.parametrize("text, parts", [
+    (TREFOIL_SWITCHED, 1),
+    (disjoint_union(TREFOIL_SWITCHED, FIGURE_EIGHT), 2),
+])
+def test_unrepaired_row_verifies_the_walk_once(calls, text, parts):
+    row, _ = cli.analyze_entry("row", text, cli.RunConfig(repair=False))
+    assert row["components"] == parts
+    assert calls == {"repair": 0, "verify_binding": parts,
                      "verify_pages": parts, "exact_max_faces": 0}
 
 

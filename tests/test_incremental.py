@@ -412,14 +412,18 @@ def test_fixed_cases_match_references(k):
 
 
 def check_repair(d):
-    """Merges made on both edge sides of the greedy tree's walk."""
+    """Merges made on the walks of the greedy tree and of the bfs, dfs and
+    random spanning trees."""
     cx = tp.CellComplex(d)
-    est = tp.greedy_max_faces(cx)
+    trees = [tp.greedy_max_faces(cx)] + [
+        tp.ExtendedSpanningTree(edges=tp.spanning_tree(cx, strategy=s),
+                                faces=frozenset())
+        for s in ("bfs", "dfs", "random")]
     merges = 0
-    for side in (0, 1):
-        raw = binding.corner_walk(est, cx, side)
+    for est in trees:
+        raw = tp.boundary_sequence(est, cx)
         fixed = tp.repair(raw, d)
-        assert fixed == reference_repair(raw, d), side
+        assert fixed == reference_repair(raw, d), est
         merges += len(raw.points) - len(fixed.points)
     return merges
 

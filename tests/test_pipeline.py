@@ -3,7 +3,7 @@
 import pytest
 
 import threepage as tp
-from threepage import pipeline
+from threepage import cli, pipeline
 
 from conftest import CORPUS_NAMES, HOPF, KINK, TREFOIL_SWITCHED
 
@@ -55,13 +55,15 @@ def test_kink_certificate():
     assert cert.verified and cert.presentation.bound == 2
 
 
-def test_both_sides_failing_names_page_offenders(monkeypatch):
+def test_failing_pages_give_an_unverified_row(monkeypatch):
     bad = tp.PageReport(ok=False, degree_ok=True, pages_distinct_ok=True,
                         planar_ok=False,
                         offenders=("page-1 arcs 0 and 2 interleave",))
     monkeypatch.setattr(pipeline, "verify_pages", lambda pres: bad)
-    with pytest.raises(tp.InternalError, match="both edge sides") as info:
-        tp.certify(tp.parse_pd(HOPF))
-    message = str(info.value)
-    assert "side 0" in message and "side 1" in message
-    assert "page-1 arcs 0 and 2 interleave" in message
+    cert = tp.certify(tp.parse_pd(HOPF))
+    assert not cert.verified and cert.binding.ok
+    assert cert.pages.offenders == bad.offenders
+    row, severity = cli.analyze_entry("hopf", HOPF, cli.RunConfig())
+    assert severity == cli.VERIFICATION and row["bound"] is None
+    assert row["failure"] == \
+        "verification: pages: page-1 arcs 0 and 2 interleave"
