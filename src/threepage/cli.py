@@ -5,10 +5,10 @@ runs the full pipeline per entry and emits text, CSV or JSON reports,
 plus SVG figures on request.  Output bytes are a function of the input
 file, the seed and the flags; nothing else leaks in.
 
-Exit codes: 0 ok, 1 parse error, 2 validation error, 3 verification
-failure or an internal error.  A bound is only ever printed when its
-presentation passed every verifier; failing rows carry the failure text
-instead.
+Exit codes: 0 ok, 1 parse error, 2 validation error (or two rows that
+map to one SVG file), 3 verification failure or an internal error.  A
+bound is only ever printed when its presentation passed every verifier;
+failing rows carry the failure text instead.
 """
 
 from __future__ import annotations
@@ -172,9 +172,12 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
 
 
-def _write_svgs(rows: list[dict], config: RunConfig) -> list[str]:
+def _write_svgs(rows: list[dict], config: RunConfig) -> tuple[list[str], int]:
+    """Sorted paths written, and VALIDATION if a row was skipped because
+    an earlier row had written its file."""
     os.makedirs(config.svg_dir, exist_ok=True)
-    written = []
+    writer: dict[str, str] = {}  # path -> name of the row that wrote it
+    severity = OK
     for row in rows:
         pres_list = row.get("presentations") or []
         for i, pres in enumerate(pres_list):
@@ -182,10 +185,16 @@ def _write_svgs(rows: list[dict], config: RunConfig) -> list[str]:
             if len(pres_list) > 1:
                 stem = f"{stem}.{i}"
             out_path = os.path.join(config.svg_dir, stem + ".svg")
+            if out_path in writer:
+                print(f"validation: rows {writer[out_path]!r} and "
+                      f"{row['name']!r} both map to {out_path}; "
+                      f"kept the first", file=sys.stderr)
+                severity = VALIDATION
+                continue
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(render_svg(pres))
-            written.append(out_path)
-    return sorted(written)
+            writer[out_path] = row["name"]
+    return sorted(writer), severity
 
 
 def _row_public(row: dict) -> dict:
@@ -285,7 +294,8 @@ def run(path: str, config: RunConfig, out=None) -> int:
         rows.sort(key=lambda r: r["name"])
 
     if config.svg_dir is not None:
-        written = _write_svgs(rows, config)
+        written, svg_severity = _write_svgs(rows, config)
+        severity = max(severity, svg_severity)
         if config.mode == "render":
             out.write("".join(p + "\n" for p in written))
 

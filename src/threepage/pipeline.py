@@ -1,9 +1,9 @@
 """One certified run of the construction per connected component.
 
 certify builds the cell complex, picks the extended spanning tree, walks
-the binding circle, repairs it and runs each verifier once, keeping every
-intermediate result and report in a Certificate.  The CLI formats
-certificates; it runs no step of the construction itself.
+the binding circle, repairs it and runs each verifier once, on what it
+presents.  Every result and report is kept in a Certificate.  The CLI
+formats certificates; it runs no step of the construction itself.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from .binding import (BindingReport, BindingSequence, boundary_sequence,
                       repair, verify_binding)
 from .cells import CellComplex
 from .diagram import PlaneDiagram
-from .errors import InternalError
 from .presentation import (PageReport, ThreePagePresentation, to_presentation,
                            verify_pages)
 from .spanning import (ExtendedSpanningTree, SearchResult, exact_max_faces,
@@ -63,7 +62,9 @@ def certify(comp: PlaneDiagram, config: RunConfig | None = None) -> Certificate:
     The tree comes from the greedy face search, the exact one under
     config.exact, or a plain spanning tree without faces when
     config.extend is off.  Under config.repair off, final is the raw
-    walk, and no repair or second verify_binding runs.
+    walk and no repair runs.  verify_binding runs once, on final: repair
+    only merges arcs of one type, so a walk breaking conditions 1-3 still
+    breaks them there, and the walk checks its own point and cut counts.
     """
     config = config or RunConfig()
     cx = CellComplex(comp)
@@ -79,15 +80,9 @@ def certify(comp: PlaneDiagram, config: RunConfig | None = None) -> Certificate:
         est = greedy_max_faces(cx)
         m_mode = "greedy"
 
-    raw = final = boundary_sequence(est, cx)
-    report = verify_binding(raw, comp)
-    # Conditions 1-3 are the walk's own contract, so a failure is a bug.
-    if not (report.c1_structure and report.c2_coverage and report.c3_types):
-        raise InternalError(
-            f"boundary walk broke its own contract: {report.offenders}")
-    if config.repair:
-        final = repair(raw, comp)
-        report = verify_binding(final, comp)
+    raw = boundary_sequence(est, cx)
+    final = repair(raw, comp) if config.repair else raw
+    report = verify_binding(final, comp)
     pres = to_presentation(final)
     pages = verify_pages(pres)
     return Certificate(complex=cx, tree=est, m_mode=m_mode, search=search,

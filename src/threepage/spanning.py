@@ -111,10 +111,10 @@ def face_set_feasible(faces, cx: CellComplex) -> bool:
     component of (all vertices, their boundaries, the faces) has Euler
     characteristic 1.  Components with a cycle can never be completed:
     bridging edges only merge components, they cannot kill homology.
-    The subcomplex-enumeration oracle validates this criterion, and this
-    function, rebuilding every component in O(n) per call, is in turn the
-    test oracle for the incremental _Forest.add_face that the greedy,
-    exact and witness searches use.
+    The subcomplex-enumeration oracle validates this criterion.  No
+    search calls this function: it rebuilds every component in O(n), and
+    it is the test oracle for _Forest.add_face, which the searches use,
+    and for the edge-count test of complete_to_est.
     """
     faces = frozenset(faces)
     if not _pairwise_edge_disjoint(faces, cx):
@@ -126,14 +126,14 @@ def face_set_feasible(faces, cx: CellComplex) -> bool:
 
 
 def complete_to_est(faces, cx: CellComplex) -> ExtendedSpanningTree:
-    """Bridge the components of a feasible face set into one tree-like Y.
+    """Bridge a face set's closure into one tree-like Y, or reject the set.
 
-    Added edges never lie on a face boundary; each merges two components,
-    so the final edge count is n + |faces| - 1.
+    Each of the closure's p pieces is a proper subcomplex of the sphere,
+    so chi <= 1, and bridging adds p - 1 edges.  So every piece has
+    chi = 1, the face_set_feasible test, exactly when Y gets the forced
+    n - 1 + |faces| edges; the faces must also be pairwise edge-disjoint.
     """
     faces = frozenset(faces)
-    if not face_set_feasible(faces, cx):
-        raise DiagramError("face set is not feasible")
     edges = set(_boundary_edges(faces, cx))
     d = cx.diagram
     forest = _Forest(cx.n)
@@ -142,12 +142,10 @@ def complete_to_est(faces, cx: CellComplex) -> ExtendedSpanningTree:
     for e in range(d.edge_count):
         if e not in edges and forest.union(*d.edge_endpoints(e)):
             edges.add(e)
-    if len({forest.find(v) for v in range(cx.n)}) != 1:
-        raise InternalError("could not bridge face components")
-    est = ExtendedSpanningTree(edges=frozenset(edges), faces=faces)
-    if len(est.edges) != cx.n + len(faces) - 1:
-        raise InternalError("extended spanning tree has wrong edge count")
-    return est
+    if len(edges) != cx.n - 1 + len(faces) or \
+            not _pairwise_edge_disjoint(faces, cx):
+        raise DiagramError("face set is not feasible")
+    return ExtendedSpanningTree(edges=frozenset(edges), faces=faces)
 
 
 def _face_order(cx: CellComplex, order: str, seed: int) -> list[int]:
@@ -170,8 +168,7 @@ def greedy_max_faces(cx: CellComplex, order: str = "by-size",
 
     Each candidate face is tested incrementally by _Forest.add_face in
     O(|f| log n), so with the face ordering the search is O(n log n);
-    complete_to_est then runs the O(n) face_set_feasible oracle once on
-    the result.
+    complete_to_est then bridges the result in O(n log n).
     """
     forest = _Forest(cx.n)
     chosen = [f for f in _face_order(cx, order, seed)
@@ -192,8 +189,7 @@ def exact_max_faces(cx: CellComplex, budget: int = 10_000_000) -> SearchResult:
     limit.  A node tests its candidate face with _Forest.add_face in
     O(|f| log n); an include then drops the candidates sharing an edge
     with it in O(candidates), and undoing it before the exclude sibling
-    costs O(|f|).  face_set_feasible runs once, in complete_to_est on the
-    best set.
+    costs O(|f|).  complete_to_est bridges the best set once.
     """
     adj = cx.dual_graph().adjacency
     order = sorted(range(cx.face_count), key=lambda f: (len(adj[f]), f))

@@ -3,9 +3,9 @@
 Every module of the package that binds repair, verify_binding,
 verify_pages or exact_max_faces gets a counting wrapper in its place,
 then cli.analyze_entry runs one row.  Each step runs once per component:
-one repair and one verify_pages, and verify_binding twice (the raw walk,
-whose conditions 1-3 are its own contract, and the repaired circle).
-Under --no-repair the raw walk's verify_binding is the only one.
+one repair, one verify_binding on the repaired circle and one
+verify_pages.  Under --no-repair no repair runs, and verify_binding
+checks the raw walk.
 """
 
 import sys
@@ -46,7 +46,7 @@ def test_repaired_row_runs_each_step_once(calls, text, parts):
     row, severity = cli.analyze_entry("row", text, cli.RunConfig())
     assert severity == cli.OK and row["components"] == parts
     assert row["points_after"] < row["points_before"]
-    assert calls == {"repair": parts, "verify_binding": 2 * parts,
+    assert calls == {"repair": parts, "verify_binding": parts,
                      "verify_pages": parts, "exact_max_faces": 0}
 
 

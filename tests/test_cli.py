@@ -267,3 +267,32 @@ class TestSvgOutput:
         run_cli(["batch", path, "--svg", str(d1)], capsys)
         run_cli(["batch", path, "--svg", str(d2)], capsys)
         assert (d1 / "hopf.svg").read_bytes() == (d2 / "hopf.svg").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["render", "batch"])
+    def test_colliding_names_keep_the_first_figure(self, tmp_path, capsys,
+                                                   mode):
+        path = write_entries(tmp_path, [
+            f"a_b: {TREFOIL}",
+            f"a b: {HOPF}",
+            f"hopf: {HOPF}",
+            f"hopf: {TREFOIL}",
+        ])
+        outdir = tmp_path / "out"
+        args = [mode, path, str(outdir)] if mode == "render" else \
+            ["batch", path, "--svg", str(outdir)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert "rows 'a b' and 'a_b' both map to" in err
+        assert "rows 'hopf' and 'hopf' both map to" in err
+        assert sorted(p.name for p in outdir.iterdir()) == \
+            ["a_b.svg", "hopf.svg"]
+        if mode == "render":
+            assert [l.rsplit("/", 1)[-1] for l in out.splitlines()] == \
+                ["a_b.svg", "hopf.svg"]
+        else:
+            assert all(r["verified"] == "true" for r in csv_rows(out))
+        single = write_entries(tmp_path, [f"hopf: {HOPF}"], "single.txt")
+        run_cli(["render", single, str(tmp_path / "single")], capsys)
+        hopf = (tmp_path / "single" / "hopf.svg").read_bytes()
+        assert (outdir / "a_b.svg").read_bytes() == hopf   # 'a b' sorts first
+        assert (outdir / "hopf.svg").read_bytes() == hopf  # input order

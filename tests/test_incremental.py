@@ -2,10 +2,11 @@
 
 Incremental face feasibility, the one-pass is_reduced, the sweep
 chord-crossing scan, the one-pass repair, the two explicit-stack exact
-searches, the union-find component counts and the heap-driven leafy NSIS
-growth each replaced a slower version that is still in the code or
-spelled out here; both must give the same answers on corpus diagrams and
-on generated braid closures, switched crossings included.
+searches, the union-find component counts, the heap-driven leafy NSIS
+growth and the edge-count feasibility test of complete_to_est each
+replaced a slower version that is still in the code or spelled out
+here; both must give the same answers on corpus diagrams and on
+generated braid closures, switched crossings included.
 """
 
 import itertools
@@ -20,7 +21,9 @@ from threepage.cells import (Subcomplex, _Forest, complement_components,
                              subcomplex_components)
 from threepage.diagram import articulation_points
 from threepage.nsis import NsisResult, _connected
-from threepage.spanning import SearchResult, complete_to_est, face_set_feasible
+from threepage.spanning import (ExtendedSpanningTree, SearchResult,
+                                 _boundary_edges, complete_to_est,
+                                 face_set_feasible)
 
 from conftest import (CORPUS_TEXTS, HOPF, KINK, TWO_CLASPS, braid_closure_pd,
                       disjoint_union, switch_crossing, torus_pd)
@@ -57,6 +60,27 @@ def reference_witness(cx):
                         return tp.Witness(edge_a=ea, edge_b=eb,
                                           face_a=fa, face_b=fb)
     return None
+
+
+def reference_complete_to_est(faces, cx):
+    """complete_to_est as it was: face_set_feasible, then bridging."""
+    faces = frozenset(faces)
+    if not face_set_feasible(faces, cx):
+        raise tp.DiagramError("face set is not feasible")
+    edges = set(_boundary_edges(faces, cx))
+    d = cx.diagram
+    forest = _Forest(cx.n)
+    for e in edges:
+        forest.union(*d.edge_endpoints(e))
+    for e in range(d.edge_count):
+        if e not in edges and forest.union(*d.edge_endpoints(e)):
+            edges.add(e)
+    if len({forest.find(v) for v in range(cx.n)}) != 1:
+        raise tp.InternalError("could not bridge face components")
+    est = ExtendedSpanningTree(edges=frozenset(edges), faces=faces)
+    if len(est.edges) != cx.n + len(faces) - 1:
+        raise tp.InternalError("extended spanning tree has wrong edge count")
+    return est
 
 
 def reference_is_reduced(d):
@@ -413,7 +437,12 @@ def test_fixed_cases_match_references(k):
 
 def check_repair(d):
     """Merges made on the walks of the greedy tree and of the bfs, dfs and
-    random spanning trees."""
+    random spanning trees.
+
+    Each raw walk meets its own contract, binding conditions 1-3, which
+    certify leaves to its one verify_binding on the repaired circle, and
+    its repair is a binding circle.
+    """
     cx = tp.CellComplex(d)
     trees = [tp.greedy_max_faces(cx)] + [
         tp.ExtendedSpanningTree(edges=tp.spanning_tree(cx, strategy=s),
@@ -422,8 +451,12 @@ def check_repair(d):
     merges = 0
     for est in trees:
         raw = tp.boundary_sequence(est, cx)
+        report = tp.verify_binding(raw, d)
+        assert report.c1_structure and report.c2_coverage and \
+            report.c3_types, report.offenders
         fixed = tp.repair(raw, d)
         assert fixed == reference_repair(raw, d), est
+        assert tp.verify_binding(fixed, d).ok, est
         merges += len(raw.points) - len(fixed.points)
     return merges
 
@@ -458,6 +491,43 @@ def test_witness_matches_reference(text):
 def test_is_reduced_matches_cut_vertex_definition(text):
     for d in components(text):
         assert d.is_reduced() == reference_is_reduced(d)
+
+
+def completion(faces, cx, complete):
+    try:
+        est = complete(faces, cx)
+    except tp.DiagramError as exc:
+        return str(exc)
+    return est.edges, est.faces
+
+
+def check_completion(d, rng, draws=30):
+    """complete_to_est equals its reference on random face subsets: the
+    same error, or the same edges and faces.  Returns how many subsets
+    were feasible."""
+    cx = tp.CellComplex(d)
+    feasible = 0
+    for _ in range(draws):
+        k = rng.randint(0, min(cx.face_count, 5))
+        faces = rng.sample(range(cx.face_count), k)
+        got = completion(faces, cx, complete_to_est)
+        assert got == completion(faces, cx, reference_complete_to_est), faces
+        feasible += not isinstance(got, str)
+    return feasible
+
+
+def test_completion_matches_reference_on_fixed_cases():
+    rng = random.Random(8)
+    draws = len(FIXED_DIAGRAMS) * 30
+    feasible = sum(check_completion(d, rng) for d in FIXED_DIAGRAMS)
+    assert 0 < feasible < draws
+
+
+@settings(max_examples=100, deadline=None)
+@given(closures(), st.randoms(use_true_random=False))
+def test_completion_matches_reference(text, rng):
+    for d in components(text):
+        check_completion(d, rng)
 
 
 BUDGETS = (3, 40, 250, 10_000_000)
@@ -669,9 +739,8 @@ def test_default_path_makes_no_quadratic_calls(monkeypatch):
     cx = tp.CellComplex(tp.parse_pd(torus_pd(41)))
     feasible = counting(monkeypatch, spanning, "face_set_feasible")
     est = tp.greedy_max_faces(cx)
-    assert len(feasible) == 1    # the oracle inside complete_to_est
     tp.witness_pair(cx)
-    assert len(feasible) == 1
+    assert feasible == []
 
     crossed = counting(monkeypatch, binding, "chords_cross")
     # also count calls through a name imported into presentation
@@ -704,7 +773,7 @@ def test_exact_searches_make_one_pass_per_node(monkeypatch):
     feasible = counting(monkeypatch, spanning, "face_set_feasible")
     res = tp.exact_max_faces(cx)
     assert res.exact and res.nodes > 100
-    assert len(feasible) == 1    # the oracle inside complete_to_est
+    assert feasible == []        # complete_to_est counts tree edges
     graph = tp.SimpleGraph.from_dual(cx.dual_graph())
     connected = counting(monkeypatch, nsis, "_connected")
     passes = counting(monkeypatch, nsis, "articulation_points")

@@ -1,9 +1,12 @@
 """certify: one run of every step per component, each result kept."""
 
+import dataclasses
+
 import pytest
 
 import threepage as tp
 from threepage import cli, pipeline
+from threepage.binding import INSIDE_OVER, INSIDE_UNDER
 
 from conftest import CORPUS_NAMES, HOPF, KINK, TREFOIL_SWITCHED
 
@@ -67,3 +70,26 @@ def test_failing_pages_give_an_unverified_row(monkeypatch):
     assert severity == cli.VERIFICATION and row["bound"] is None
     assert row["failure"] == \
         "verification: pages: page-1 arcs 0 and 2 interleave"
+
+
+@pytest.mark.parametrize("repair", [True, False])
+def test_broken_walk_gives_an_unverified_row(monkeypatch, repair):
+    """A walk that breaks its own contract is caught by the one
+    verify_binding on the presented circle, repaired or not."""
+    walk = pipeline.boundary_sequence
+
+    def flipped(est, cx):
+        raw = walk(est, cx)
+        arc = raw.arcs[0]
+        typ = INSIDE_OVER if arc.type == INSIDE_UNDER else INSIDE_UNDER
+        return dataclasses.replace(raw, arcs=(
+            dataclasses.replace(arc, type=typ),) + raw.arcs[1:])
+
+    monkeypatch.setattr(pipeline, "boundary_sequence", flipped)
+    config = tp.RunConfig(repair=repair)
+    cert = tp.certify(tp.parse_pd(TREFOIL_SWITCHED), config)
+    assert not cert.verified and not cert.binding.c3_types
+    assert any(o.startswith("types: ") for o in cert.binding.offenders)
+    row, severity = cli.analyze_entry("trefoil", TREFOIL_SWITCHED, config)
+    assert severity == cli.VERIFICATION and row["bound"] is None
+    assert "types: " in row["failure"]

@@ -37,12 +37,19 @@ def test_spanning_tree_strategies():
         tp.spanning_tree(cx, strategy="mst")
 
 
+def assert_infeasible(faces, cx):
+    """Both face_set_feasible and complete_to_est reject the face set."""
+    assert face_set_feasible(faces, cx) is False
+    with pytest.raises(tp.DiagramError, match="face set is not feasible"):
+        tp.complete_to_est(faces, cx)
+
+
 def test_feasibility_frozen_examples():
     cx = tp.CellComplex(tp.parse_pd(TREFOIL))
     two_bigons = set(bigons(cx)[:2])
     assert face_set_feasible(two_bigons, cx)
-    assert face_set_feasible(set(bigons(cx)), cx) is False  # all three
-    assert not face_set_feasible(set(triangles(cx)), cx)    # chi = -1
+    assert_infeasible(set(bigons(cx)), cx)      # all three
+    assert_infeasible(set(triangles(cx)), cx)   # chi = -1
     assert face_set_feasible(set(), cx)
     assert face_set_feasible({0}, cx)
 
@@ -51,9 +58,9 @@ def test_feasibility_frozen_examples():
     opposite = ({f for f in range(4)} - {a, b}).pop()
     # opposite faces of the 4-cycle dual: edge-disjoint but chi = 0
     assert not set(hopf_cx.face_edges(a)) & set(hopf_cx.face_edges(opposite))
-    assert not face_set_feasible({a, opposite}, hopf_cx)
+    assert_infeasible({a, opposite}, hopf_cx)
     # adjacent faces share an edge
-    assert not face_set_feasible({a, b}, hopf_cx)
+    assert_infeasible({a, b}, hopf_cx)
 
 
 def test_all_three_trefoil_bigons_infeasible_reason():
