@@ -17,8 +17,8 @@ import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
-from .cells import CellComplex, is_contractible
-from .diagram import PlaneDiagram, crossing_of, dart_id, rotate
+from .cells import CellComplex
+from .diagram import PlaneDiagram, _Forest, crossing_of, dart_id, rotate
 from .errors import DiagramError, InternalError
 from .spanning import ExtendedSpanningTree
 
@@ -147,6 +147,12 @@ def _passage_partner(dart: int) -> int:
 
 
 def _require_valid(est: ExtendedSpanningTree, cx: CellComplex) -> None:
+    """Raise DiagramError unless est is an extended spanning tree of cx.
+
+    Once the faces are edge-disjoint and bounded by tree edges, Y = (all
+    crossings, edges, faces) is closed, so it is contractible iff chi = 1
+    and it is connected: n - 1 + |F| edges that join all n crossings.
+    """
     d = cx.diagram
     if not all(0 <= e < d.edge_count for e in est.edges):
         raise DiagramError("extended spanning tree has an unknown edge id")
@@ -160,7 +166,8 @@ def _require_valid(est: ExtendedSpanningTree, cx: CellComplex) -> None:
         if not fe <= est.edges:
             raise DiagramError("face boundary leaves the tree edge set")
         taken |= fe
-    if not is_contractible(est.subcomplex(cx), cx):
+    merges = _Forest(d.n).join(map(d.edge_endpoints, est.edges))
+    if merges != d.n - 1 or len(est.edges) != d.n - 1 + len(est.faces):
         raise DiagramError("extended spanning tree is not contractible")
 
 

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .diagram import PlaneDiagram, crossing_of, rotate
+from .diagram import PlaneDiagram, _Forest, crossing_of, rotate
 from .errors import DiagramError
 
 
 class CellComplex:
     """Faces, incidences and the dual graph of a connected diagram.
 
-    The dual graph and the full subcomplex are built on first use and
-    then kept; both are read-only.
+    The dual graph is built on first use and then kept, read-only.  The
+    whole complex is never built as a Subcomplex: is_contractible
+    refuses it by its Euler characteristic.
     """
 
     def __init__(self, diagram: PlaneDiagram):
@@ -135,17 +136,6 @@ class CellComplex:
                      frozenset(f for f, c in enumerate(colors) if c == 1)),
         )
 
-    def full_subcomplex(self) -> "Subcomplex":
-        return self._full
-
-    @cached_property
-    def _full(self) -> "Subcomplex":
-        return Subcomplex(
-            vertices=frozenset(range(self.n)),
-            edges=frozenset(range(self.diagram.edge_count)),
-            faces=frozenset(range(self.face_count)),
-        )
-
 
 @dataclass(frozen=True)
 class DualGraph:
@@ -164,77 +154,6 @@ class Subcomplex:
     vertices: frozenset[int]
     edges: frozenset[int]
     faces: frozenset[int]
-
-    def cell_count(self) -> int:
-        return len(self.vertices) + len(self.edges) + len(self.faces)
-
-
-class _Forest:
-    """Union-find over 0..size-1, plus the edges of the faces added so far.
-
-    Over crossings, starting from all crossings and no edges, every
-    component has Euler characteristic 1; add_face keeps that invariant,
-    which is exactly the feasibility criterion of face_set_feasible.
-    Union by size and no path compression, so every find is O(log size)
-    and undo() only resets the roots one face merged: O(|f|).
-    """
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-        self.used: set[int] = set()
-        self.log: list[tuple[tuple[int, ...], int, set[int]]] = []
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the components of a and b; False if they already agree."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-    def add_face(self, f: int, cx: CellComplex) -> bool:
-        """Add face f if the face set stays feasible; report whether it did.
-
-        Its edges must be unused, and its crossings must lie in exactly
-        |edges(f)| components: the merged component then has chi =
-        k - |edges(f)| + 1 = 1, and every other component keeps chi = 1.
-        An added face goes on the log that undo() pops.  O(|f| log n).
-        """
-        edges = cx.face_edges(f)
-        used = self.used
-        if not used.isdisjoint(edges):
-            return False
-        roots = {self.find(v) for v in cx.face_vertices(f)}
-        if len(roots) != len(edges):
-            return False
-        used.update(edges)
-        parent, size = self.parent, self.size
-        top = max(roots, key=size.__getitem__)
-        roots.discard(top)
-        for r in roots:
-            parent[r] = top
-            size[top] += size[r]
-        self.log.append((edges, top, roots))
-        return True
-
-    def undo(self) -> None:
-        """Remove the face added last."""
-        edges, top, roots = self.log.pop()
-        parent, size = self.parent, self.size
-        for r in roots:
-            parent[r] = r
-            size[top] -= size[r]
-        self.used.difference_update(edges)
 
 
 def is_closed(sub: Subcomplex, cx: CellComplex) -> bool:
@@ -255,15 +174,6 @@ def euler_characteristic(sub: Subcomplex, cx: CellComplex) -> int:
     return len(sub.vertices) - len(sub.edges) + len(sub.faces)
 
 
-def _edge_forest(sub: Subcomplex, cx: CellComplex) -> _Forest:
-    """Union-find over the crossings, joined along the edges of sub."""
-    endpoints = cx.diagram.edge_endpoints
-    forest = _Forest(cx.n)
-    for e in sub.edges:
-        forest.union(*endpoints(e))
-    return forest
-
-
 def subcomplex_components(sub: Subcomplex, cx: CellComplex) -> list[Subcomplex]:
     """Connected pieces of the underlying space, via cell incidence.
 
@@ -272,7 +182,8 @@ def subcomplex_components(sub: Subcomplex, cx: CellComplex) -> list[Subcomplex]:
     """
     _require_closed(sub, cx)
     endpoints = cx.diagram.edge_endpoints
-    forest = _edge_forest(sub, cx)
+    forest = _Forest(cx.n)
+    forest.join(map(endpoints, sub.edges))
     groups: dict[int, tuple[list, list, list]] = {}
 
     def piece(v: int) -> tuple[list, list, list]:
@@ -292,28 +203,25 @@ def subcomplex_components(sub: Subcomplex, cx: CellComplex) -> list[Subcomplex]:
 
 
 def is_contractible(sub: Subcomplex, cx: CellComplex) -> bool:
-    """Connected, Euler characteristic 1, and not the whole complex.
+    """Connected and Euler characteristic 1.
 
     For closed subcomplexes of the sphere complex this is equivalent to
     contractibility: a proper subcomplex carries no 2-cycles, so it is
     contractible exactly when it is connected with trivial first homology,
-    and chi = 1 pins that down.  The complement-connectivity count below
-    stays available as an independent check of the same property.
+    and chi = 1 pins that down; the whole complex (chi = 2) and the empty
+    one (chi = 0) fail it.  The complement-connectivity count below stays
+    available as an independent check of the same property.
 
     One closure check, O(|sub|); then chi from the cell counts and, when
-    it is 1, one union-find pass over the edges, O(|sub| log n).  In a
-    closed subcomplex every edge and face lies in the piece of its
-    vertices, so the pieces are counted by the roots of the vertices.
+    it is 1, one union-find pass over the edges, O(|sub| log n).  The
+    edges of a closed subcomplex join only its vertices, so it is
+    connected iff they make |vertices| - 1 merges.
     """
-    if sub == cx.full_subcomplex():
-        return False
-    if sub.cell_count() == 0:
-        return False
     _require_closed(sub, cx)
     if len(sub.vertices) - len(sub.edges) + len(sub.faces) != 1:
         return False
-    forest = _edge_forest(sub, cx)
-    return len({forest.find(v) for v in sub.vertices}) == 1
+    merges = _Forest(cx.n).join(map(cx.diagram.edge_endpoints, sub.edges))
+    return merges == len(sub.vertices) - 1
 
 
 def complement_components(sub: Subcomplex, cx: CellComplex) -> int:

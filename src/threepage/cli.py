@@ -40,20 +40,30 @@ SUMMED = ("n", "faces", "m", "points_before", "points_after", "bound",
 
 
 def read_entries(path: str) -> list[tuple[str, str, str | None]]:
-    """(name, pd-text, error) per non-comment line; errors stay in-band."""
+    """(name, pd-text, error) per non-comment line; errors stay in-band.
+
+    Each line is decoded as UTF-8 on its own, so a line that is not
+    becomes a parse error row and the other rows still run.
+    """
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, sep, body = line.partition(":")
-            name, body = name.strip(), body.strip()
-            if not sep or not name or not body:
-                entries.append((f"line-{lineno}", "",
-                                f"parse: line {lineno} is not 'name: PD[...]'"))
-                continue
-            entries.append((name, body, None))
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            entries.append((f"line-{lineno}", "",
+                            f"parse: line {lineno} is not valid UTF-8"))
+            continue
+        if not line or line.startswith("#"):
+            continue
+        name, sep, body = line.partition(":")
+        name, body = name.strip(), body.strip()
+        if not sep or not name or not body:
+            entries.append((f"line-{lineno}", "",
+                            f"parse: line {lineno} is not 'name: PD[...]'"))
+            continue
+        entries.append((name, body, None))
     return entries
 
 
@@ -309,6 +319,15 @@ def run(path: str, config: RunConfig, out=None) -> int:
     return severity
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threepage",
@@ -319,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("path", help="diagram file, one 'name: PD[...]' per line")
         p.add_argument("--exact", action="store_true",
                        help="exhaustive face search instead of greedy")
-        p.add_argument("--budget", type=int, default=10_000_000,
-                       help="search node budget")
+        p.add_argument("--budget", type=_positive_int, default=10_000_000,
+                       help="search node budget, at least 1")
         p.add_argument("--no-repair", action="store_true",
                        help="keep the raw boundary sequence")
         p.add_argument("--no-extend", action="store_true",

@@ -53,7 +53,8 @@ class PlaneDiagram:
     crossing adjacency, the split into connected pieces and is_reduced
     are computed on first use and then kept: each is a fact of the code,
     which never changes, and each is handed out as a tuple (or a bool),
-    so no caller can alter what the next one reads.
+    so no caller can alter what the next one reads.  The pieces are the
+    _Forest roots of the edges, in order of first crossing.
     """
 
     def __init__(self, crossings):
@@ -135,24 +136,12 @@ class PlaneDiagram:
 
     @cached_property
     def _component_sets(self) -> tuple[tuple[int, ...], ...]:
-        adj = self._adjacency
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            queue = [start]
-            seen[start] = True
-            comp = []
-            while queue:
-                v = queue.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        forest = _Forest(self.n)
+        forest.join(self._edge_ends)
+        groups: dict[int, list[int]] = {}
+        for c in range(self.n):
+            groups.setdefault(forest.find(c), []).append(c)
+        return tuple(map(tuple, groups.values()))
 
     def is_connected(self) -> bool:
         return len(self._component_sets) <= 1
@@ -272,6 +261,80 @@ def articulation_points(verts: set[int], adj) -> tuple[set[int], int]:
     nbrs = [[index[u] for u in adj[v] if u in index] for v in ids]
     cut, reached = cut_vertices(nbrs, bytearray(b"\x01") * len(ids), 0)
     return {ids[i] for i in cut}, reached
+
+
+class _Forest:
+    """Union-find over 0..size-1, plus the edges of the faces added so far.
+
+    The package's one union-find: join() splits diagrams into pieces
+    and tests trees, add_face grows the searches' face sets.  Over
+    crossings, starting from all crossings and no edges, every component
+    has Euler characteristic 1; add_face keeps that invariant, which is
+    exactly the feasibility criterion of face_set_feasible.  Union by
+    size and no path compression, so every find is O(log size) and
+    undo() only resets the roots one face merged: O(|f|).
+    """
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.size = [1] * size
+        self.used: set[int] = set()
+        self.log: list[tuple[tuple[int, ...], int, set[int]]] = []
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the components of a and b; False if they already agree."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+    def join(self, pairs) -> int:
+        """Union each (a, b) pair; the number of merges made."""
+        return sum(self.union(a, b) for a, b in pairs)
+
+    def add_face(self, f: int, cx: "CellComplex") -> bool:
+        """Add face f if the face set stays feasible; report whether it did.
+
+        Its edges must be unused, and its crossings must lie in exactly
+        |edges(f)| components: the merged component then has chi =
+        k - |edges(f)| + 1 = 1, and every other component keeps chi = 1.
+        An added face goes on the log that undo() pops.  O(|f| log n).
+        """
+        edges = cx.face_edges(f)
+        used = self.used
+        if not used.isdisjoint(edges):
+            return False
+        roots = {self.find(v) for v in cx.face_vertices(f)}
+        if len(roots) != len(edges):
+            return False
+        used.update(edges)
+        parent, size = self.parent, self.size
+        top = max(roots, key=size.__getitem__)
+        roots.discard(top)
+        for r in roots:
+            parent[r] = top
+            size[top] += size[r]
+        self.log.append((edges, top, roots))
+        return True
+
+    def undo(self) -> None:
+        """Remove the face added last."""
+        edges, top, roots = self.log.pop()
+        parent, size = self.parent, self.size
+        for r in roots:
+            parent[r] = r
+            size[top] -= size[r]
+        self.used.difference_update(edges)
 
 
 def parse_pd(text: str) -> PlaneDiagram:

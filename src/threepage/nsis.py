@@ -16,6 +16,8 @@ from .cells import DualGraph
 from .diagram import articulation_points, cut_vertices
 from .errors import DiagramError
 
+_DISCONNECTED = "nsis search requires a connected graph"
+
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -51,7 +53,8 @@ class SimpleGraph:
         return len(self.adjacency[v])
 
     def is_connected(self) -> bool:
-        return _connected(set(self.vertices), self.adjacency)
+        return bool(self.vertices) and articulation_points(
+            set(self.vertices), self.adjacency)[1] == len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -60,21 +63,6 @@ class NsisResult:
     vertices: frozenset[int]
     exact: bool
     nodes: int
-
-
-def _connected(verts: set[int], adj: dict[int, frozenset[int]]) -> bool:
-    if not verts:
-        return False
-    seen = set()
-    frontier = [min(verts)]
-    seen.add(frontier[0])
-    while frontier:
-        v = frontier.pop()
-        for u in adj[v]:
-            if u in verts and u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return seen == verts
 
 
 def is_nsis(graph: SimpleGraph, subset) -> bool:
@@ -86,7 +74,9 @@ def is_nsis(graph: SimpleGraph, subset) -> bool:
     for v in chosen:
         if graph.adjacency[v] & chosen:
             return False
-    return _connected(verts - chosen, graph.adjacency)
+    rest = verts - chosen
+    return bool(rest) and \
+        articulation_points(rest, graph.adjacency)[1] == len(rest)
 
 
 def nsis_exact(graph: SimpleGraph, budget: int = 10_000_000) -> NsisResult:
@@ -104,29 +94,30 @@ def nsis_exact(graph: SimpleGraph, budget: int = 10_000_000) -> NsisResult:
     order, with neighbor tuples and the residual as a bytearray; ids are
     mapped back only in the result.  A node that tries its candidate runs
     one cut_vertices pass over the residual, O(V + E) on flat lists,
-    which also tells whether the residual is connected; an include then
-    filters the candidates in O(candidates), and putting the vertex back
-    costs O(1).  Neither the cut set nor the connectivity answer depends
-    on the numbering, so the nodes visited do not either.
+    whose reach tells whether the residual is connected; one more pass
+    on the whole graph checks the input and gives the start cut.  An
+    include then filters the candidates in O(candidates), and putting
+    the vertex back costs O(1).  Neither the cut set nor the connectivity
+    answer depends on the numbering, so the nodes visited do not either.
     """
-    if not graph.is_connected():
-        raise DiagramError("nsis search requires a connected graph")
     adj = graph.adjacency
     ids = sorted(graph.vertices)
     index = {v: i for i, v in enumerate(ids)}
     nbrs = [tuple(index[u] for u in adj[v]) for v in ids]
     near = [frozenset(t) for t in nbrs]
-    start_cut, _ = articulation_points(set(ids), adj)
-    order = sorted(graph.vertices, key=lambda v: (-graph.degree(v), v))
     residual = bytearray(b"\x01") * len(ids)
     remaining = len(ids)
+    start_cut, reached = cut_vertices(nbrs, residual, 0) if ids else ((), 0)
+    if not ids or reached != remaining:
+        raise DiagramError(_DISCONNECTED)
+    order = sorted(range(len(ids)), key=lambda i: (-len(nbrs[i]), i))
     chosen: list[int] = []
     best, best_set = 0, ()
     nodes = 0
     exhausted = False
     # (candidates, start, undo): the node for candidates[start:], after
     # returning the last chosen vertex to the residual when undo is set.
-    stack = [([index[v] for v in order if v not in start_cut], 0, False)]
+    stack = [([i for i in order if i not in start_cut], 0, False)]
     while stack:
         candidates, start, undo = stack.pop()
         if undo:
@@ -171,22 +162,20 @@ def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:
     leaves off a spanning tree leaves the rest of it connected, and not
     empty: with V >= 3 the tree has an inner vertex, and with V = 2 the
     two leaves are neighbors.  So the result always satisfies is_nsis; it
-    may be empty.
+    may be empty.  A graph the tree cannot span is refused.
 
     The expanding vertex comes off a heap of (-gain, id) entries.  Gains
     only fall as the tree grows, so the top entry is recounted and pushed
     back lower (dropped at 0) until its gain is current; it is then the
     most-gain, lowest-id vertex, found without sorting the tree per step.
     """
-    if not graph.is_connected():
-        raise DiagramError("nsis search requires a connected graph")
-    if graph.classes is None:
-        raise DiagramError("leafy heuristic needs bipartition classes")
     import heapq  # here: its C module adds start-up time and memory
 
     rng = random.Random(seed)
     adj = graph.adjacency
     verts = set(graph.vertices)
+    if not verts:
+        raise DiagramError(_DISCONNECTED)
 
     root = max(verts, key=lambda v: (graph.degree(v), -v))
     in_tree = {root}
@@ -194,7 +183,7 @@ def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:
     heap = [(-len(adj[root]), root)]
     while len(in_tree) < len(verts):
         if not heap:
-            raise DiagramError("graph is not connected")
+            raise DiagramError(_DISCONNECTED)
         stored, pick = heap[0]
         gain = len(adj[pick] - in_tree)
         if gain != -stored:
@@ -213,6 +202,8 @@ def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:
             if gain:
                 heapq.heappush(heap, (-gain, u))
 
+    if graph.classes is None:
+        raise DiagramError("leafy heuristic needs bipartition classes")
     leaves = {v for v, k in tree_deg.items() if k == 1}
     side_a, side_b = graph.classes
     in_a, in_b = leaves & side_a, leaves & side_b

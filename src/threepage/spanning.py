@@ -13,8 +13,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .cells import (CellComplex, Subcomplex, _Forest, euler_characteristic,
+from .cells import (CellComplex, Subcomplex, euler_characteristic,
                     subcomplex_components)
+from .diagram import _Forest
 from .errors import DiagramError, InternalError
 
 
@@ -137,8 +138,7 @@ def complete_to_est(faces, cx: CellComplex) -> ExtendedSpanningTree:
     edges = set(_boundary_edges(faces, cx))
     d = cx.diagram
     forest = _Forest(cx.n)
-    for e in edges:
-        forest.union(*d.edge_endpoints(e))
+    forest.join(map(d.edge_endpoints, edges))
     for e in range(d.edge_count):
         if e not in edges and forest.union(*d.edge_endpoints(e)):
             edges.add(e)
@@ -242,9 +242,7 @@ def oracle_max_faces(cx: CellComplex) -> int:
     all_edges = range(d.edge_count)
 
     def connects(edge_set) -> bool:
-        forest = _Forest(d.n)
-        return sum(forest.union(*d.edge_endpoints(e))
-                   for e in edge_set) == d.n - 1
+        return _Forest(d.n).join(map(d.edge_endpoints, edge_set)) == d.n - 1
 
     for m in range(cx.face_count, -1, -1):
         for faces in itertools.combinations(range(cx.face_count), m):

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 
@@ -6,6 +7,11 @@ import threepage as tp
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CORPUS_PATH = os.path.join(DATA_DIR, "corpus.txt")
+
+# One braid-closure generator: the benchmark's.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+from gen import closure_rows, pd_text, switch  # noqa: E402
+from gen import disjoint_union as union_rows  # noqa: E402
 
 HOPF = "PD[X(1,4,2,3), X(3,2,4,1)]"
 TREFOIL = "PD[X(1,4,2,5), X(3,6,4,1), X(5,2,6,3)]"
@@ -47,31 +53,13 @@ def braid_closure_pd(word, strands: int) -> str:
     """PD code of the closure of a braid word on `strands` strands.
 
     Entry +k is the generator s_k on strand positions k-1 and k, -k its
-    inverse.  With incoming labels a, b and fresh outgoing labels c, d,
-    s_k becomes X(a,b,d,c) and its inverse X(b,d,c,a); closing the braid
-    renames each strand's final label to its initial one.
+    inverse; bench/gen.py's closure_rows spells out the encoding.
     """
-    current = list(range(1, strands + 1))
-    fresh = strands + 1
-    rows = []
-    for g in word:
-        i = abs(g) - 1
-        a, b = current[i], current[i + 1]
-        c, d = fresh, fresh + 1
-        fresh += 2
-        rows.append((a, b, d, c) if g > 0 else (b, d, c, a))
-        current[i], current[i + 1] = c, d
-    rename = {final: start for start, final in enumerate(current, start=1)}
-    rows = [tuple(rename.get(lab, lab) for lab in row) for row in rows]
-    return "PD[" + ", ".join("X(%d,%d,%d,%d)" % r for r in rows) + "]"
+    return pd_text(closure_rows(word, strands))
 
 
-def switch_crossing(pd_text: str, idx: int) -> str:
-    d = tp.parse_pd(pd_text)
-    rows = [list(r) for r in d.crossings]
-    a, b, c, e = rows[idx]
-    rows[idx] = [b, c, e, a]
-    return "PD[" + ", ".join("X(%d,%d,%d,%d)" % tuple(r) for r in rows) + "]"
+def switch_crossing(text: str, idx: int) -> str:
+    return pd_text(switch(tp.parse_pd(text).crossings, [idx]))
 
 
 def relabel_shift(pd_text: str, shift: int) -> str:
@@ -83,11 +71,8 @@ def relabel_shift(pd_text: str, shift: int) -> str:
 
 
 def disjoint_union(pd_a: str, pd_b: str) -> str:
-    da, db = tp.parse_pd(pd_a), tp.parse_pd(pd_b)
-    top = max(lab for row in da.crossings for lab in row)
-    rows = list(da.crossings) + [tuple(lab + top for lab in row)
-                                 for row in db.crossings]
-    return "PD[" + ", ".join("X(%d,%d,%d,%d)" % tuple(r) for r in rows) + "]"
+    return pd_text(union_rows(tp.parse_pd(pd_a).crossings,
+                              tp.parse_pd(pd_b).crossings))
 
 
 @pytest.fixture(scope="session")

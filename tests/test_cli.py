@@ -87,6 +87,28 @@ class TestExitCodes:
         assert code == 2
         assert len(csv_rows(out)) == 3
 
+    def test_invalid_utf8_line_is_one_parse_row(self, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_bytes(f"a: {HOPF}\n".encode() + b"b: \xff\n"
+                         + f"c: {TREFOIL}\r\n# caf\u00e9\n".encode())
+        code, out, err = run_cli(["batch", str(path)], capsys)
+        assert (code, err) == (1, "")
+        rows = {r["name"]: r for r in csv_rows(out)}
+        assert rows["line-2"]["failure"] == "parse: line 2 is not valid UTF-8"
+        assert [rows[k]["verified"] for k in ("a", "c")] == ["true", "true"]
+        assert len(rows) == 3
+
+    @pytest.mark.parametrize("budget", ["0", "-3", "many"])
+    def test_budget_must_be_positive(self, tmp_path, capsys, budget):
+        path = write_entries(tmp_path, [f"hopf: {HOPF}"])
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", path, "--nsis", "--budget", budget])
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        code, out, _ = run_cli(["batch", path, "--nsis", "--budget", "1"],
+                               capsys)
+        assert code == 0 and csv_rows(out)[0]["verified"] == "true"
+
     def test_analyze_stops_at_first_failure(self, tmp_path, capsys):
         path = write_entries(tmp_path, [
             f"aaa_curl: {NON_SPHERE}",

@@ -3,10 +3,12 @@
 Incremental face feasibility, the one-pass is_reduced, the sweep
 chord-crossing scan, the one-pass repair, the two explicit-stack exact
 searches, the union-find component counts, the heap-driven leafy NSIS
-growth and the edge-count feasibility test of complete_to_est each
-replaced a slower version that is still in the code or spelled out
+growth, the edge-count feasibility test of complete_to_est, the
+union-find split of a diagram into pieces, the cut-vertex reach as the
+NSIS connectivity test and the edge-count tree check of _require_valid
+each replaced a slower version that is still in the code or spelled out
 here; both must give the same answers on corpus diagrams and on
-generated braid closures, switched crossings included.
+generated braid closures, switched crossings and split unions included.
 """
 
 import itertools
@@ -17,10 +19,10 @@ import pytest
 import threepage as tp
 from threepage import binding, presentation, spanning
 from threepage.binding import chords_cross, crossing_pairs
-from threepage.cells import (Subcomplex, _Forest, complement_components,
+from threepage.cells import (Subcomplex, complement_components,
                              subcomplex_components)
-from threepage.diagram import articulation_points
-from threepage.nsis import NsisResult, _connected
+from threepage.diagram import _Forest, articulation_points
+from threepage.nsis import NsisResult
 from threepage.spanning import (ExtendedSpanningTree, SearchResult,
                                  _boundary_edges, complete_to_est,
                                  face_set_feasible)
@@ -81,6 +83,63 @@ def reference_complete_to_est(faces, cx):
     if len(est.edges) != cx.n + len(faces) - 1:
         raise tp.InternalError("extended spanning tree has wrong edge count")
     return est
+
+
+def reference_component_sets(d):
+    """PlaneDiagram._component_sets as it was: a graph search."""
+    adj = d._adjacency
+    seen = [False] * d.n
+    comps = []
+    for start in range(d.n):
+        if seen[start]:
+            continue
+        queue = [start]
+        seen[start] = True
+        comp = []
+        while queue:
+            v = queue.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def reference_connected(verts, adj):
+    """nsis._connected as it was: a graph search."""
+    if not verts:
+        return False
+    seen = set()
+    frontier = [min(verts)]
+    seen.add(frontier[0])
+    while frontier:
+        v = frontier.pop()
+        for u in adj[v]:
+            if u in verts and u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return seen == verts
+
+
+def reference_require_valid(est, cx):
+    """binding._require_valid as it was: is_contractible on a Subcomplex."""
+    d = cx.diagram
+    if not all(0 <= e < d.edge_count for e in est.edges):
+        raise tp.DiagramError("extended spanning tree has an unknown edge id")
+    if not all(0 <= f < cx.face_count for f in est.faces):
+        raise tp.DiagramError("extended spanning tree has an unknown face id")
+    taken = set()
+    for f in sorted(est.faces):
+        fe = set(cx.face_edges(f))
+        if fe & taken:
+            raise tp.DiagramError("extended spanning tree faces share an edge")
+        if not fe <= est.edges:
+            raise tp.DiagramError("face boundary leaves the tree edge set")
+        taken |= fe
+    if not tp.is_contractible(est.subcomplex(cx), cx):
+        raise tp.DiagramError("extended spanning tree is not contractible")
 
 
 def reference_is_reduced(d):
@@ -258,7 +317,7 @@ def reference_nsis_exact(graph, budget=10_000_000):
         v, rest = candidates[0], candidates[1:]
         with_v = chosen | {v}
         residual = verts - with_v
-        if residual and _connected(residual, adj):
+        if residual and reference_connected(residual, adj):
             cut = reference_articulation_points(residual, adj)
             keep = [u for u in rest if u not in adj[v] and u not in cut]
             descend(with_v, keep)
@@ -310,7 +369,7 @@ def reference_nsis_greedy_leafy(graph, seed=0):
         if adj[v] & kept:
             continue
         rest = verts - kept - {v}
-        if rest and _connected(rest, adj):
+        if rest and reference_connected(rest, adj):
             kept.add(v)
     return frozenset(kept)
 
@@ -394,6 +453,15 @@ def closures(draw, max_n=20):
                             strands)
     for k in draw(st.sets(st.integers(0, len(word) - 1))):
         text = switch_crossing(text, k)
+    return text
+
+
+@st.composite
+def split_closures(draw):
+    """Braid closures with switched crossings, sometimes a split union."""
+    text = draw(closures(max_n=14))
+    if draw(st.booleans()):
+        text = disjoint_union(text, draw(closures(max_n=8)))
     return text
 
 
@@ -624,9 +692,113 @@ def test_articulation_points_match_reference(text, data):
     adj = cx.dual_graph().adjacency
     verts = data.draw(st.sets(st.sampled_from(sorted(adj)), min_size=1))
     cut, reached = articulation_points(verts, adj)
-    assert (reached == len(verts)) == _connected(verts, adj)
+    assert (reached == len(verts)) == reference_connected(verts, adj)
     if reached == len(verts):
         assert cut == reference_articulation_points(verts, adj)
+    graph = tp.SimpleGraph.from_dual(cx.dual_graph())
+    assert graph.is_connected() == reference_connected(set(adj), adj)
+    rest = set(adj) - verts
+    independent = all(not adj[v] & verts for v in verts)
+    assert tp.is_nsis(graph, verts) == \
+        (independent and reference_connected(rest, adj))
+
+
+def test_connectivity_of_empty_and_split_graphs():
+    empty = tp.SimpleGraph(vertices=(), adjacency={}, classes=None)
+    assert not empty.is_connected() and not reference_connected(set(), {})
+    split = tp.SimpleGraph(
+        vertices=(0, 1, 2, 3),
+        adjacency={0: frozenset({1}), 1: frozenset({0}),
+                   2: frozenset({3}), 3: frozenset({2})},
+        classes=(frozenset({0, 2}), frozenset({1, 3})))
+    assert not split.is_connected()
+    assert not tp.is_nsis(split, {0}) and not tp.is_nsis(split, {0, 1, 2, 3})
+    for graph in (empty, split):
+        for search in (tp.nsis_exact, tp.nsis_greedy_leafy):
+            with pytest.raises(tp.DiagramError,
+                               match="^nsis search requires a connected"):
+                search(graph)
+
+
+def check_component_sets(text):
+    d = tp.parse_pd(text)
+    assert d._component_sets == reference_component_sets(d)
+    assert d.is_connected() == (len(reference_component_sets(d)) <= 1)
+
+
+@pytest.mark.parametrize("text", FIXED + [
+    disjoint_union(HOPF, KINK), disjoint_union(TWO_CLASPS, torus_pd(3)),
+    disjoint_union(disjoint_union(KINK, HOPF), KINK), "PD[]"])
+def test_component_sets_match_search_on_fixed_cases(text):
+    check_component_sets(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_closures())
+def test_component_sets_match_search(text):
+    check_component_sets(text)
+
+
+def tree_check(est, cx, check):
+    try:
+        check(est, cx)
+    except tp.DiagramError as exc:
+        return str(exc)
+    return None
+
+
+def random_candidate(cx, rng):
+    """An extended spanning tree, or a near miss: the completion of random
+    faces (or their bare boundary) with edges and faces added or dropped,
+    now and then an unknown id."""
+    d = cx.diagram
+    faces = set(rng.sample(range(cx.face_count),
+                           rng.randint(0, min(cx.face_count, 4))))
+    try:
+        edges = set(complete_to_est(faces, cx).edges)
+    except tp.DiagramError:
+        edges = set(_boundary_edges(faces, cx))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        kind = rng.random()
+        if kind < 0.4 and edges:
+            edges.discard(rng.choice(sorted(edges)))
+        elif kind < 0.8:
+            edges.add(rng.randrange(d.edge_count))
+        else:
+            faces ^= {rng.randrange(cx.face_count)}
+    if rng.random() < 0.03:
+        edges.add(d.edge_count)
+    if rng.random() < 0.03:
+        faces.add(cx.face_count)
+    return ExtendedSpanningTree(edges=frozenset(edges), faces=frozenset(faces))
+
+
+def check_require_valid(d, rng, draws=30):
+    """_require_valid raises the reference's DiagramError text, or nothing,
+    on random candidates; returns the texts seen (None for valid)."""
+    cx = tp.CellComplex(d)
+    seen = []
+    for _ in range(draws):
+        est = random_candidate(cx, rng)
+        got = tree_check(est, cx, binding._require_valid)
+        assert got == tree_check(est, cx, reference_require_valid), est
+        seen.append(got)
+    return seen
+
+
+def test_require_valid_matches_reference_on_fixed_cases():
+    rng = random.Random(9)
+    seen = {text for d in FIXED_DIAGRAMS for text in check_require_valid(d, rng)}
+    assert None in seen
+    assert "extended spanning tree is not contractible" in seen
+    assert "face boundary leaves the tree edge set" in seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_closures(), st.randoms(use_true_random=False))
+def test_require_valid_matches_reference(text, rng):
+    for d in components(text):
+        check_require_valid(d, rng)
 
 
 def forest_state(forest):
@@ -767,7 +939,8 @@ def test_witness_pair_builds_one_forest(monkeypatch):
 
 
 def test_exact_searches_make_one_pass_per_node(monkeypatch):
-    """No feasibility rebuild and no separate connectivity pass per node."""
+    """No feasibility rebuild and no separate connectivity pass: the NSIS
+    search's root cut-vertex pass is its connectivity check."""
     from threepage import nsis
     cx = tp.CellComplex(tp.parse_pd(braid_closure_pd([1, -2] * 6, 3)))
     feasible = counting(monkeypatch, spanning, "face_set_feasible")
@@ -775,10 +948,11 @@ def test_exact_searches_make_one_pass_per_node(monkeypatch):
     assert res.exact and res.nodes > 100
     assert feasible == []        # complete_to_est counts tree edges
     graph = tp.SimpleGraph.from_dual(cx.dual_graph())
-    connected = counting(monkeypatch, nsis, "_connected")
-    passes = counting(monkeypatch, nsis, "articulation_points")
+    assert not hasattr(nsis, "_connected")
+    connected = counting(monkeypatch, nsis, "articulation_points")
+    passes = counting(monkeypatch, nsis, "cut_vertices")
     res = tp.nsis_exact(graph)
     assert res.exact and res.nodes > 100
-    assert len(connected) == 1   # graph.is_connected() up front
+    assert connected == []       # no is_connected() up front
     assert len(passes) < res.nodes
 

@@ -1,10 +1,10 @@
 """Structures computed once per diagram or cell complex.
 
 PlaneDiagram keeps its edge endpoints, crossing adjacency, split into
-connected pieces and is_reduced; CellComplex keeps its dual graph and
-full subcomplex.  After any mix of calls, each must equal what a fresh
-object computes and what a direct recomputation from the PD code gives,
-and one CLI row must build each of them once.
+connected pieces and is_reduced; CellComplex keeps its dual graph.
+After any mix of calls, each must equal what a fresh object computes
+and what a direct recomputation from the PD code gives, and one CLI row
+must build each of them once.
 """
 
 import pytest
@@ -17,19 +17,9 @@ from conftest import (CORPUS_TEXTS, HOPF, KINK, TREFOIL, braid_closure_pd,
                       disjoint_union, torus_pd)
 
 hypothesis = pytest.importorskip("hypothesis")
-st = pytest.importorskip("hypothesis.strategies")
 given, settings = hypothesis.given, hypothesis.settings
 
-from test_incremental import closures  # noqa: E402 (after importorskip)
-
-
-@st.composite
-def diagrams(draw):
-    """Braid closures with switched crossings, sometimes a split union."""
-    text = draw(closures(max_n=14))
-    if draw(st.booleans()):
-        text = disjoint_union(text, draw(closures(max_n=8)))
-    return text
+from test_incremental import split_closures  # noqa: E402 (after importorskip)
 
 
 def reference_pieces(d):
@@ -72,7 +62,6 @@ def warm(d):
         c.is_reduced()
         cx = tp.CellComplex(c)
         cx.dual_graph()
-        cx.full_subcomplex()
         tp.is_contractible(tp.greedy_max_faces(cx).subcomplex(cx), cx)
         out.append((c, cx))
     return out
@@ -88,11 +77,10 @@ def check_piece(c, cx, fresh):
     assert dict(dual.adjacency) == reference_dual_adjacency(cx)
     with pytest.raises(TypeError):
         dual.adjacency[0] = frozenset()
-    assert cx.full_subcomplex() == tp.Subcomplex(
-        vertices=frozenset(range(cx.n)),
-        edges=frozenset(range(c.edge_count)),
-        faces=frozenset(range(cx.face_count)))
-    assert not tp.is_contractible(cx.full_subcomplex(), cx)
+    full = tp.Subcomplex(vertices=frozenset(range(cx.n)),
+                         edges=frozenset(range(c.edge_count)),
+                         faces=frozenset(range(cx.face_count)))
+    assert not tp.is_contractible(full, cx)
 
 
 def check_memo(text):
@@ -128,7 +116,7 @@ def test_kept_values_equal_fresh_ones_on_fixed_cases(k):
 
 
 @settings(max_examples=100, deadline=None)
-@given(diagrams())
+@given(split_closures())
 def test_kept_values_equal_fresh_ones(text):
     check_memo(text)
 
