@@ -22,7 +22,7 @@ OVER = "over"
 
 _ENTRY_RE = re.compile(r"X\s*[(\[]([^)\]]*)[)\]]")
 _PD_RE = re.compile(r"PD\s*\[(.*)\]\s*$", re.DOTALL)
-_LABEL_RE = re.compile(r"\d+")
+_LABEL_RE = re.compile(r"0*[1-9][0-9]*")
 
 
 def dart_id(crossing: int, slot: int) -> int:
@@ -50,11 +50,12 @@ class PlaneDiagram:
     """Immutable PD code with its derived edge structure.
 
     Edge darts and endpoints are computed in the constructor.  The
-    crossing adjacency, the split into connected pieces and is_reduced
-    are computed on first use and then kept: each is a fact of the code,
-    which never changes, and each is handed out as a tuple (or a bool),
-    so no caller can alter what the next one reads.  The pieces are the
-    _Forest roots of the edges, in order of first crossing.
+    incident edges, the crossing adjacency, the split into connected
+    pieces and is_reduced are computed on first use and then kept: each
+    is a fact of the code, which never changes, and each is handed out
+    as a tuple (or a bool), so no caller can alter what the next one
+    reads.  The pieces are the _Forest roots of the edges, in order of
+    first crossing.
     """
 
     def __init__(self, crossings):
@@ -126,13 +127,20 @@ class PlaneDiagram:
         return all((d1 ^ d2) & 1 for d1, d2 in self.edge_darts)
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self._edge_ends:
-            adj[a].append(b)
+    def _incident(self) -> tuple[tuple[int, ...], ...]:
+        """Edges at each crossing in edge-id order, a loop edge once."""
+        inc: list[list[int]] = [[] for _ in range(self.n)]
+        for e, (a, b) in enumerate(self._edge_ends):
+            inc[a].append(e)
             if b != a:
-                adj[b].append(a)
-        return tuple(map(tuple, adj))
+                inc[b].append(e)
+        return tuple(map(tuple, inc))
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        ends = self._edge_ends    # the far end of e at c is a + b - c
+        return tuple(tuple(sum(ends[e]) - c for e in es)
+                     for c, es in enumerate(self._incident))
 
     @cached_property
     def _component_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -337,11 +345,58 @@ class _Forest:
         self.used.difference_update(edges)
 
 
+def _include_first_search(order, budget: int, include, undo):
+    """Largest set of candidates that include() accepts one by one.
+
+    The package's one exact-search loop, for both the face search and
+    the NSIS search.  include(v) adds v to the current set and returns
+    the later candidates that v rules out, or None, changing nothing,
+    when v cannot join; undo(v) reverts the include of v, the last one
+    still in place.  Joining must be hereditary (a set that cannot take
+    v never can once it grows), so the bound "chosen + remaining
+    candidates" prunes soundly.
+
+    Depth-first with an explicit stack, including the next candidate
+    before excluding it, so no input size can exhaust the recursion
+    limit.  Every node counts before the budget check; past the budget
+    the best set so far comes back with exact False.  An include drops
+    the ruled-out candidates in O(candidates).  Returns (best set in
+    include order, nodes, exact).
+    """
+    chosen: list = []
+    best: tuple = ()
+    nodes = 0
+    # (candidates, start, pop): the node for candidates[start:], after
+    # undoing the last include when pop is set.
+    stack = [(order, 0, False)]
+    while stack:
+        candidates, start, pop = stack.pop()
+        if pop:
+            undo(chosen.pop())
+        nodes += 1
+        if nodes > budget:
+            return best, nodes, False
+        if len(chosen) > len(best):
+            best = tuple(chosen)
+        if len(chosen) + len(candidates) - start <= len(best):
+            continue
+        v = candidates[start]
+        ruled_out = include(v)
+        if ruled_out is None:
+            stack.append((candidates, start + 1, False))
+        else:
+            chosen.append(v)
+            stack.append((candidates, start + 1, True))
+            stack.append(([u for u in candidates[start + 1:]
+                           if u not in ruled_out], 0, False))
+    return best, nodes, True
+
+
 def parse_pd(text: str) -> PlaneDiagram:
     """Read a PD expression such as ``PD[X(1,4,2,5), X(3,6,4,1), X(5,2,6,3)]``.
 
     Both ``X(...)`` and ``X[...]`` entry brackets are accepted.  Labels are
-    positive integers; each must occur exactly twice.  ``PD[]`` denotes the
+    positive integers in ASCII digits; each must occur exactly twice.  ``PD[]`` denotes the
     empty diagram.  Empty or non-PD input is a syntax error.
     """
     stripped = text.strip()

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .cells import DualGraph
-from .diagram import articulation_points, cut_vertices
+from .diagram import _include_first_search, articulation_points, cut_vertices
 from .errors import DiagramError
 
 _DISCONNECTED = "nsis search requires a connected graph"
@@ -82,74 +82,46 @@ def is_nsis(graph: SimpleGraph, subset) -> bool:
 def nsis_exact(graph: SimpleGraph, budget: int = 10_000_000) -> NsisResult:
     """Maximum NSIS by branch and bound.
 
-    Including a vertex keeps the choice set independent by construction;
-    a disconnected residual prunes the whole subtree (valid sets keep
-    every residual along the way connected), and articulation points of
-    the current residual can never be added, so they drop out of the
-    candidate list.  Exceeding the node budget only costs exactness.
-
-    Depth-first with an explicit stack, including the next candidate
-    before excluding it, so no input size can exhaust the recursion
-    limit.  The search runs on the vertices renumbered 0..V-1 in id
-    order, with neighbor tuples and the residual as a bytearray; ids are
-    mapped back only in the result.  A node that tries its candidate runs
-    one cut_vertices pass over the residual, O(V + E) on flat lists,
-    whose reach tells whether the residual is connected; one more pass
-    on the whole graph checks the input and gives the start cut.  An
-    include then filters the candidates in O(candidates), and putting
-    the vertex back costs O(1).  Neither the cut set nor the connectivity
-    answer depends on the numbering, so the nodes visited do not either.
+    _include_first_search over the vertices, renumbered 0..V-1 in id
+    order and tried by falling degree.  A vertex joins when the residual (the
+    vertices not chosen) stays connected without it, which valid sets
+    need all along the way; it then rules out its neighbors, which
+    keeps the set independent, and the residual's cut vertices, which
+    can never join.  Trying a vertex is one cut_vertices pass over the
+    residual, O(V + E) on neighbor tuples and a bytearray, whose reach
+    is the connectivity answer; one more pass on the whole graph checks
+    the input and gives the start cut.  Putting a vertex back costs
+    O(1).  Neither the cut set nor the connectivity answer depends on
+    the numbering, so the nodes visited do not either.
     """
     adj = graph.adjacency
     ids = sorted(graph.vertices)
     index = {v: i for i, v in enumerate(ids)}
     nbrs = [tuple(index[u] for u in adj[v]) for v in ids]
-    near = [frozenset(t) for t in nbrs]
     residual = bytearray(b"\x01") * len(ids)
-    remaining = len(ids)
     start_cut, reached = cut_vertices(nbrs, residual, 0) if ids else ((), 0)
-    if not ids or reached != remaining:
+    if not ids or reached != len(ids):
         raise DiagramError(_DISCONNECTED)
-    order = sorted(range(len(ids)), key=lambda i: (-len(nbrs[i]), i))
-    chosen: list[int] = []
-    best, best_set = 0, ()
-    nodes = 0
-    exhausted = False
-    # (candidates, start, undo): the node for candidates[start:], after
-    # returning the last chosen vertex to the residual when undo is set.
-    stack = [([i for i in order if i not in start_cut], 0, False)]
-    while stack:
-        candidates, start, undo = stack.pop()
-        if undo:
-            residual[chosen.pop()] = 1
-            remaining += 1
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            break
-        if len(chosen) > best:
-            best, best_set = len(chosen), tuple(chosen)
-        if len(chosen) + len(candidates) - start <= best:
-            continue
-        v = candidates[start]
+
+    def include(v):
         residual[v] = 0
-        remaining -= 1
-        connected = False
-        if remaining:
-            cut, reached = cut_vertices(nbrs, residual, residual.index(1))
-            connected = reached == remaining
-        if connected:
-            chosen.append(v)
-            stack.append((candidates, start + 1, True))
-            skip = near[v]
-            stack.append(([u for u in candidates[start + 1:]
-                           if u not in skip and u not in cut], 0, False))
-        else:
-            residual[v] = 1
-            remaining += 1
-            stack.append((candidates, start + 1, False))
-    return NsisResult(size=best, vertices=frozenset(ids[i] for i in best_set),
-                      exact=not exhausted, nodes=nodes)
+        root = residual.find(1)
+        if root >= 0:
+            cut, reached = cut_vertices(nbrs, residual, root)
+            if reached == residual.count(1):
+                cut.update(nbrs[v])
+                return cut
+        residual[v] = 1
+        return None
+
+    def undo(v):
+        residual[v] = 1
+
+    order = sorted(range(len(ids)), key=lambda i: (-len(nbrs[i]), i))
+    best, nodes, exact = _include_first_search(
+        [i for i in order if i not in start_cut], budget, include, undo)
+    return NsisResult(size=len(best), vertices=frozenset(ids[i] for i in best),
+                      exact=exact, nodes=nodes)
 
 
 def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cells import (CellComplex, Subcomplex, euler_characteristic,
                     subcomplex_components)
-from .diagram import _Forest
+from .diagram import _Forest, _include_first_search
 from .errors import DiagramError, InternalError
 
 
@@ -64,19 +64,13 @@ def spanning_tree(cx: CellComplex, strategy: str = "bfs",
 
     if strategy not in ("bfs", "dfs"):
         raise DiagramError(f"unknown spanning tree strategy: {strategy}")
-    incident: list[list[int]] = [[] for _ in range(d.n)]
-    for e in range(d.edge_count):
-        a, b = d.edge_endpoints(e)
-        incident[a].append(e)
-        if b != a:
-            incident[b].append(e)
     seen = [False] * d.n
     seen[0] = True
     chosen = []
     frontier = [0]
     while frontier:
         v = frontier.pop(0 if strategy == "bfs" else -1)
-        for e in incident[v]:
+        for e in d._incident[v]:
             a, b = d.edge_endpoints(e)
             w = b if a == v else a
             if not seen[w]:
@@ -179,52 +173,19 @@ def greedy_max_faces(cx: CellComplex, order: str = "by-size",
 def exact_max_faces(cx: CellComplex, budget: int = 10_000_000) -> SearchResult:
     """Branch and bound over independent face sets, feasibility-pruned.
 
-    Feasibility is hereditary (every subset of a feasible set is
-    feasible), so an infeasible partial set can be cut off.  The bound is
-    current size plus remaining candidates.  When the node budget runs
-    out the best set found so far is returned with exact=False.
-
-    Depth-first with an explicit stack, including the next candidate
-    before excluding it, so no input size can exhaust the recursion
-    limit.  A node tests its candidate face with _Forest.add_face in
-    O(|f| log n); an include then drops the candidates sharing an edge
-    with it in O(candidates), and undoing it before the exclude sibling
-    costs O(|f|).  complete_to_est bridges the best set once.
+    _include_first_search over the faces in by-dual-degree order.  A
+    face joins when _Forest.add_face accepts it, O(|f| log n), and then
+    rules out its dual neighbors (faces sharing an edge with it);
+    undoing it costs O(|f|).  complete_to_est bridges the best set once.
     """
     adj = cx.dual_graph().adjacency
-    order = sorted(range(cx.face_count), key=lambda f: (len(adj[f]), f))
     forest = _Forest(cx.n)
-    chosen: list[int] = []
-    best, best_set = 0, frozenset()
-    nodes = 0
-    exhausted = False
-    # (candidates, start, undo): the node for candidates[start:], after
-    # undoing the last chosen face when undo is set.
-    stack = [(order, 0, False)]
-    while stack:
-        candidates, start, undo = stack.pop()
-        if undo:
-            forest.undo()
-            chosen.pop()
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            break
-        if len(chosen) > best:
-            best, best_set = len(chosen), frozenset(chosen)
-        if len(chosen) + len(candidates) - start <= best:
-            continue
-        f = candidates[start]
-        if forest.add_face(f, cx):
-            chosen.append(f)
-            stack.append((candidates, start + 1, True))
-            near = adj[f]
-            stack.append(([g for g in candidates[start + 1:]
-                           if g not in near], 0, False))
-        else:
-            stack.append((candidates, start + 1, False))
-    return SearchResult(m=best, est=complete_to_est(best_set, cx),
-                        exact=not exhausted, nodes=nodes)
+    best, nodes, exact = _include_first_search(
+        _face_order(cx, "by-dual-degree", 0), budget,
+        lambda f: adj[f] if forest.add_face(f, cx) else None,
+        lambda f: forest.undo())
+    return SearchResult(m=len(best), est=complete_to_est(best, cx),
+                        exact=exact, nodes=nodes)
 
 
 def oracle_max_faces(cx: CellComplex) -> int:
@@ -279,15 +240,9 @@ def witness_pair(cx: CellComplex) -> Witness:
         raise DiagramError("witness search requires n >= 3")
     if not d.is_reduced():
         raise DiagramError("witness search requires a reduced diagram")
-    incident: list[list[int]] = [[] for _ in range(d.n)]
-    for e in range(d.edge_count):
-        a, b = d.edge_endpoints(e)
-        incident[a].append(e)
-        incident[b].append(e)
     forest = _Forest(d.n)
     for c in range(d.n):
-        edges = sorted(set(incident[c]))
-        for ea, eb in itertools.combinations(edges, 2):
+        for ea, eb in itertools.combinations(d._incident[c], 2):
             if set(d.edge_endpoints(ea)) == set(d.edge_endpoints(eb)):
                 continue  # parallel pair cannot both sit in a tree
             for fa in cx.edge_sides(ea):

@@ -29,6 +29,8 @@ def test_parse_brackets_and_text_roundtrip():
     "PD[X(1,2,3,4)]",                    # labels once
     "not a pd at all",
     "PD[X(1,4,2,3) garbage X(3,2,4,1)]",
+    "PD[X(0,0,1,1)]",                    # label 0
+    "PD[X(\u0661,\u0661,\u0662,\u0662)]",  # Arabic-Indic digits
 ])
 def test_parse_rejects(bad):
     with pytest.raises(tp.PDSyntaxError):

@@ -598,7 +598,7 @@ def test_completion_matches_reference(text, rng):
         check_completion(d, rng)
 
 
-BUDGETS = (3, 40, 250, 10_000_000)
+BUDGETS = (1, 3, 40, 250, 10_000_000)
 
 
 def check_searches(d):
