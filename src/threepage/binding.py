@@ -14,11 +14,11 @@ binding circle.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cells import CellComplex
-from .diagram import PlaneDiagram, _Forest, crossing_of, dart_id, rotate
+from .diagram import PlaneDiagram, _Forest
 from .errors import DiagramError, InternalError
 from .spanning import ExtendedSpanningTree
 
@@ -35,7 +35,7 @@ KIND_EDGE_CUT = "edge-cut"
 KIND_NEAR = "near-vertex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BindingPoint:
     """One transversal intersection of the binding circle with the link.
 
@@ -50,13 +50,12 @@ class BindingPoint:
     anchor_dart: int
 
 
-@dataclass(frozen=True)
-class ArcEnd:
+class ArcEnd(NamedTuple):
     point: int
     dart: int | None  # inside arcs: the dart reaching this end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     id: int
     type: str
@@ -104,24 +103,39 @@ def crossing_pairs(spans) -> list[tuple[int, int]]:
     """All index pairs (i, j), i < j, whose chords cross, sorted.
 
     Equal to filtering itertools.combinations(range(len(spans)), 2) by
-    chords_cross, spans given as (a, b) with a <= b.  Two chords cross
-    iff a_i < a_j < b_i < b_j, so a sweep by left end that keeps the
-    right ends of the still-open chords in a sorted list finds each
-    crossing pair by bisection: O(P log P + K log K) comparisons for P
-    chords and K crossing pairs.
+    chords_cross, spans given as (a, b) with a <= b: two chords cross iff
+    a_i < a_j < b_i < b_j.  One sweep keeps a stack of the open chords.
+    An a == b chord crosses nothing and is never pushed.  At one position
+    chords close before any opens, the later-opened first, and of chords
+    opening together the longer is pushed first.  So when j closes, the
+    chords above it are those with a_j < a_i < b_j < b_i: exactly the ones
+    j crosses, and none that only shares an end with j.  They are popped,
+    reported and pushed back.  O(P log P) for the sorts of P chords and
+    O(P + K) for the sweep with K crossing pairs, so O(P) after the sorts
+    on a planar page.
     """
-    order = sorted(range(len(spans)), key=lambda i: spans[i][0])
-    open_ends: list[tuple[int, int]] = []  # (right end, index), sorted
+    lefts = [a for a, _ in spans]
+    rights = [b for _, b in spans]
+    # Open order: by left end, longer first, then by index; closes by
+    # right end, later-opened first.  The sorts are stable.
+    live = [j for j in range(len(spans)) if lefts[j] < rights[j]]
+    live.sort(key=rights.__getitem__, reverse=True)
+    opened = sorted(live, key=lefts.__getitem__)
+    stack: list[int] = []
     out = []
-    for a, group in itertools.groupby(order, key=lambda i: spans[i][0]):
-        group = list(group)
-        del open_ends[:bisect_right(open_ends, (a, len(spans)))]
-        for j in group:
-            hi = bisect_left(open_ends, (spans[j][1], -1))
-            out.extend((i, j) if i < j else (j, i)
-                       for _, i in open_ends[:hi])
-        for j in group:
-            insort(open_ends, (spans[j][1], j))
+    k = 0
+    for j in sorted(reversed(opened), key=rights.__getitem__):
+        while k < len(opened) and lefts[opened[k]] < rights[j]:
+            stack.append(opened[k])
+            k += 1
+        i = stack.pop()
+        if i != j:
+            above = []
+            while i != j:
+                above.append(i)
+                i = stack.pop()
+            out += [(i, j) if i < j else (j, i) for i in above]
+            stack += reversed(above)
     out.sort()
     return out
 
@@ -142,10 +156,6 @@ def same_page_crossings(spans, pages) -> list[tuple[int, int]]:
     return out
 
 
-def _passage_partner(dart: int) -> int:
-    return rotate(rotate(dart))
-
-
 def _require_valid(est: ExtendedSpanningTree, cx: CellComplex) -> None:
     """Raise DiagramError unless est is an extended spanning tree of cx.
 
@@ -154,9 +164,9 @@ def _require_valid(est: ExtendedSpanningTree, cx: CellComplex) -> None:
     and it is connected: n - 1 + |F| edges that join all n crossings.
     """
     d = cx.diagram
-    if not all(0 <= e < d.edge_count for e in est.edges):
+    if est.edges and not 0 <= min(est.edges) <= max(est.edges) < d.edge_count:
         raise DiagramError("extended spanning tree has an unknown edge id")
-    if not all(0 <= f < cx.face_count for f in est.faces):
+    if est.faces and not 0 <= min(est.faces) <= max(est.faces) < cx.face_count:
         raise DiagramError("extended spanning tree has an unknown face id")
     taken: set[int] = set()
     for f in sorted(est.faces):
@@ -166,8 +176,8 @@ def _require_valid(est: ExtendedSpanningTree, cx: CellComplex) -> None:
         if not fe <= est.edges:
             raise DiagramError("face boundary leaves the tree edge set")
         taken |= fe
-    merges = _Forest(d.n).join(map(d.edge_endpoints, est.edges))
-    if merges != d.n - 1 or len(est.edges) != d.n - 1 + len(est.faces):
+    merges = _Forest(d.n).join(map(d._edge_ends.__getitem__, est.edges))
+    if len(merges) != d.n - 1 or len(est.edges) != d.n - 1 + len(est.faces):
         raise DiagramError("extended spanning tree is not contractible")
 
 
@@ -175,81 +185,71 @@ def boundary_sequence(est: ExtendedSpanningTree,
                       cx: CellComplex) -> BindingSequence:
     """Unrepaired cut sequence of the boundary walk around est, 3n+1-m points.
 
-    Each tree edge is cut where the walk first passes it.
+    Each tree edge is cut where the walk first passes it.  One pass over
+    the flat per-dart lists of the diagram: the walk goes from a tree
+    dart u to the first tree dart after opposite(u) in rotation order,
+    and cuts near every non-tree dart it rotates past on the way.
     """
     _require_valid(est, cx)
     d = cx.diagram
     tree = est.edges
+    edge_of, opposite = d._edge_of_dart, d._opposite
     points: list[BindingPoint] = []
-    near_by_dart: dict[int, int] = {}
-    cut_by_edge: dict[int, int] = {}
-
-    def emit(edge: int, kind: str, anchor: int) -> int:
-        points.append(BindingPoint(id=len(points), edge=edge,
-                                   kind=kind, anchor_dart=anchor))
-        return points[-1].id
+    at = [-1] * len(edge_of)    # the binding point at each dart's cut
 
     if not tree:
         if d.n != 1:
             raise InternalError("empty tree on a multi-crossing diagram")
         for x in range(4):
-            near_by_dart[x] = emit(d.edge_of(x), KIND_NEAR, x)
+            at[x] = x
+            points.append(BindingPoint(x, edge_of[x], KIND_NEAR, x))
     else:
-        in_tree = [d.edge_of(x) in tree for x in d.darts()]
-
-        def next_tree_dart(x: int) -> int:
-            y = rotate(x)
-            while not in_tree[y]:
-                y = rotate(y)
-            return y
-
-        walk_darts = {x for x in d.darts()
-                      if in_tree[x] and cx.face_of(x) not in est.faces}
-        start = min(walk_darts)
-        orbit = [start]
-        u = next_tree_dart(d.opposite(start))
-        while u != start:
+        in_tree = list(map(tree.__contains__, edge_of))
+        # Darts of the faces of Y; the walk goes round all other tree darts.
+        inner = set().union(*map(cx.faces.__getitem__, est.faces))
+        start = next(x for x, t in enumerate(in_tree) if t and x not in inner)
+        orbit = []
+        cuts = 0
+        u = start
+        while True:
             orbit.append(u)
-            if len(orbit) > len(walk_darts):
-                raise InternalError("boundary walk does not close")
-            u = next_tree_dart(d.opposite(u))
-        if set(orbit) != walk_darts:
-            raise InternalError("boundary walk missed tree darts")
-
-        for u in orbit:
-            e = d.edge_of(u)
-            if e not in cut_by_edge:
-                cut_by_edge[e] = emit(e, KIND_EDGE_CUT, u)
-            x = rotate(d.opposite(u))
+            if at[u] < 0:
+                at[u] = at[opposite[u]] = k = len(points)
+                points.append(BindingPoint(k, edge_of[u], KIND_EDGE_CUT, u))
+                cuts += 1
+            x = opposite[u]
+            x = x + 1 if x & 3 != 3 else x - 3
             while not in_tree[x]:
-                near_by_dart[x] = emit(d.edge_of(x), KIND_NEAR, x)
-                x = rotate(x)
-
-        if len(cut_by_edge) != len(tree):
+                at[x] = k = len(points)
+                points.append(BindingPoint(k, edge_of[x], KIND_NEAR, x))
+                x = x + 1 if x & 3 != 3 else x - 3
+            if x == start:
+                break
+            u = x
+        walked = 2 * len(tree) - len(inner)
+        if len(orbit) > walked:
+            raise InternalError("boundary walk does not close")
+        if len(orbit) != walked or not inner.isdisjoint(orbit):
+            raise InternalError("boundary walk missed tree darts")
+        if cuts != len(tree):
             raise InternalError("some tree edge was never cut")
-        if len(near_by_dart) != 2 * (d.edge_count - len(tree)):
+        if len(points) - cuts != 2 * (d.edge_count - len(tree)):
             raise InternalError("near-vertex cut count mismatch")
 
-    def end_for(x: int) -> ArcEnd:
-        e = d.edge_of(x)
-        pid = cut_by_edge[e] if e in tree else near_by_dart[x]
-        return ArcEnd(point=pid, dart=x)
-
+    # ArcEnd(p, x) is tuple.__new__(ArcEnd, (p, x)), less one call.
+    new = tuple.__new__
     arcs: list[Arc] = []
     for c in range(d.n):
-        for s, typ in ((0, INSIDE_UNDER), (1, INSIDE_OVER)):
-            x0, x1 = dart_id(c, s), dart_id(c, s + 2)
-            arcs.append(Arc(id=len(arcs), type=typ,
-                            ends=(end_for(x0), end_for(x1)),
-                            crossings=(c,), darts=(x0, x1), edge=None))
-    for e in range(d.edge_count):
-        if e in tree:
-            continue
-        d1, d2 = sorted(d.edge_darts[e])
-        arcs.append(Arc(id=len(arcs), type=OUTSIDE,
-                        ends=(ArcEnd(near_by_dart[d1], None),
-                              ArcEnd(near_by_dart[d2], None)),
-                        crossings=(), darts=(), edge=e))
+        for x, typ in ((4 * c, INSIDE_UNDER), (4 * c + 1, INSIDE_OVER)):
+            arcs.append(Arc(len(arcs), typ, (new(ArcEnd, (at[x], x)),
+                                             new(ArcEnd, (at[x + 2], x + 2))),
+                            (c,), (x, x + 2), None))
+    for e, (d1, d2) in enumerate(d.edge_darts):
+        if e not in tree:
+            arcs.append(Arc(len(arcs), OUTSIDE,
+                            (new(ArcEnd, (at[d1], None)),
+                             new(ArcEnd, (at[d2], None))),
+                            (), (), e))
 
     seq = BindingSequence(points=tuple(points), arcs=tuple(arcs),
                           n=d.n, m=len(est.faces), repaired=False,
@@ -270,7 +270,7 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
     belong to one arc is left alone: removing it would close the arc into
     a circle with no binding point at all.  Idempotent.
 
-    One pass over the points in circle order.  A point that is not
+    One pass over the edge cuts in circle order.  A cut that is not
     removable never becomes so: the types at a cut do not change, and a
     merge can only make its two ends belong to one arc.  So the pass
     removes the same points, in the same order, as rescanning from the
@@ -278,19 +278,24 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
     first, a merged arc counting as the newest.
     """
     arcs = {a.id: a for a in seq.arcs}
-    age = itertools.count()
-    rank = {aid: next(age) for aid in arcs}
-    ends_at: dict[int, list[tuple[int, int]]] = {p.id: [] for p in seq.points}
+    rank = dict(zip(arcs, itertools.count()))
+    age = len(rank)
+    # The two arc ends at each edge cut; other points are never removed.
+    ends_at: dict[int, list[tuple[int, int]]] = {
+        p.id: [] for p in seq.points if p.kind == KIND_EDGE_CUT}
     for a in seq.arcs:
-        for k in (0, 1):
-            ends_at[a.ends[k].point].append((a.id, k))
+        (p, _), (q, _) = a.ends
+        if p in ends_at:
+            ends_at[p].append((a.id, 0))
+        if q in ends_at:
+            ends_at[q].append((a.id, 1))
     removed = set()
-    for p in seq.points:
-        if p.kind != KIND_EDGE_CUT:
-            continue
-        (aid, i), (bid, j) = sorted(ends_at[p.id], key=lambda e: rank[e[0]])
+    for pid, here in ends_at.items():
+        (aid, i), (bid, j) = here
         if aid == bid or arcs[aid].type != arcs[bid].type:
             continue
+        if rank[aid] > rank[bid]:
+            (aid, i), (bid, j) = (bid, j), (aid, i)
         a, b = arcs.pop(aid), arcs.pop(bid)
         a_darts, a_cross = a.darts, a.crossings
         a_far = a.ends[0]
@@ -302,22 +307,22 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
         if j == 1:  # orient b so its cut end comes first
             b_darts, b_cross = b_darts[::-1], b_cross[::-1]
             b_far = b.ends[0]
-        merged = Arc(id=min(aid, bid), type=a.type, ends=(a_far, b_far),
-                     crossings=a_cross + b_cross,
-                     darts=a_darts + b_darts, edge=None)
+        merged = Arc(min(aid, bid), a.type, (a_far, b_far),
+                     a_cross + b_cross, a_darts + b_darts, None)
         arcs[merged.id] = merged
-        rank[merged.id] = next(age)
-        # Point the two far ends at the merged arc; find both entries
-        # first, since the far ends may share a point.
-        at_a, at_b = ends_at[a_far.point], ends_at[b_far.point]
+        rank[merged.id] = age
+        age += 1
+        # Point the two far ends at the merged arc (a far end that is no
+        # edge cut gets a throwaway list); find both entries first, since
+        # the far ends may share a point.
+        at_a = ends_at.get(a_far.point, [(aid, 1 - i)])
+        at_b = ends_at.get(b_far.point, [(bid, 1 - j)])
         ka, kb = at_a.index((aid, 1 - i)), at_b.index((bid, 1 - j))
         at_a[ka], at_b[kb] = (merged.id, 0), (merged.id, 1)
-        removed.add(p.id)
-    points = [q for q in seq.points if q.id not in removed]
-
+        removed.add(pid)
     return BindingSequence(
-        points=tuple(points),
-        arcs=tuple(sorted(arcs.values(), key=lambda a: a.id)),
+        points=tuple([q for q in seq.points if q.id not in removed]),
+        arcs=tuple(map(arcs.__getitem__, sorted(arcs))),
         n=seq.n, m=seq.m, repaired=True,
         tree_edges=seq.tree_edges, tree_faces=seq.tree_faces)
 
@@ -328,136 +333,141 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
     Condition 1 covers all structural bookkeeping: point/arc counts, cut
     multiplicities, cut anchoring, the dart partition and end locations.
     Condition 2 is crossing coverage, condition 3 type purity per arc,
-    condition 4 distinct types at every binding point.
+    condition 4 distinct types at every binding point.  A constant number
+    of passes over the points, arcs, edges and darts: O(n) with the
+    diagram's flat per-dart lists.
     """
     bad1: list[str] = []
     bad2: list[str] = []
     bad3: list[str] = []
     bad4: list[str] = []
+    points, arcs, tree = seq.points, seq.arcs, seq.tree_edges
+    edge_of, ndarts = d._edge_of_dart, 4 * d.n
 
-    point_ids = [p.id for p in seq.points]
-    by_id = {p.id: p for p in seq.points}
-    if len(by_id) != len(point_ids):
+    by_id = {p.id: p for p in points}
+    if len(by_id) != len(points):
         bad1.append("duplicate point ids")
-    if len(seq.points) != len(seq.arcs):
-        bad1.append(f"{len(seq.points)} points but {len(seq.arcs)} arcs")
-    if len({a.id for a in seq.arcs}) != len(seq.arcs):
+    if len(points) != len(arcs):
+        bad1.append(f"{len(points)} points but {len(arcs)} arcs")
+    if len({a.id for a in arcs}) != len(arcs):
         bad1.append("duplicate arc ids")
-    if not seq.repaired and len(seq.points) != 3 * seq.n + 1 - seq.m:
-        bad1.append(f"unrepaired sequence has {len(seq.points)} points, "
+    if not seq.repaired and len(points) != 3 * seq.n + 1 - seq.m:
+        bad1.append(f"unrepaired sequence has {len(points)} points, "
                     f"expected {3 * seq.n + 1 - seq.m}")
 
     ends_at: dict[int, list[Arc]] = {pid: [] for pid in by_id}
-    for a in seq.arcs:
-        for k, end in enumerate(a.ends):
-            if end.point in ends_at:
-                ends_at[end.point].append(a)
+    for a in arcs:
+        for k, (pid, _) in enumerate(a.ends):
+            if pid in ends_at:
+                ends_at[pid].append(a)
             else:
-                bad1.append(f"arc {a.id} end {k} at unknown point {end.point}")
-    for pid in point_ids:
-        if len(ends_at[pid]) != 2:
-            bad1.append(f"point {pid} has {len(ends_at[pid])} arc ends")
+                bad1.append(f"arc {a.id} end {k} at unknown point {pid}")
+    for p in points:
+        here = ends_at[p.id]
+        if len(here) != 2:
+            bad1.append(f"point {p.id} has {len(here)} arc ends")
+            continue
+        a, b = here
+        if a.id == b.id or a.type == b.type:
+            bad4.append(f"point {p.id} joins arcs {a.id} and {b.id} "
+                        f"of type {a.type}")
 
     cut_edges: dict[int, int] = {}
-    near_anchors: dict[int, list[int]] = {}
-    for p in seq.points:
-        if not (0 <= p.anchor_dart < 4 * d.n) or \
-                d.edge_of(p.anchor_dart) != p.edge:
+    near_at = [0] * ndarts    # near-vertex cuts anchored at each dart
+    for p in points:
+        x = p.anchor_dart
+        if not 0 <= x < ndarts or edge_of[x] != p.edge:
             bad1.append(f"point {p.id} anchored off its edge")
             continue
         if p.kind == KIND_EDGE_CUT:
-            if p.edge not in seq.tree_edges:
+            if p.edge not in tree:
                 bad1.append(f"edge cut {p.id} on non-tree edge {p.edge}")
             cut_edges[p.edge] = cut_edges.get(p.edge, 0) + 1
         elif p.kind == KIND_NEAR:
-            if p.edge in seq.tree_edges:
+            if p.edge in tree:
                 bad1.append(f"near-vertex cut {p.id} on tree edge {p.edge}")
-            near_anchors.setdefault(p.edge, []).append(p.anchor_dart)
+            near_at[x] += 1
         else:
             bad1.append(f"point {p.id} has unknown kind {p.kind!r}")
-    for e in sorted(seq.tree_edges):
+    for e in sorted(tree):
         k = cut_edges.get(e, 0)
         if k > 1 or (k == 0 and not seq.repaired):
             bad1.append(f"tree edge {e} carries {k} cuts")
-    for e in range(d.edge_count):
-        if e in seq.tree_edges:
-            continue
-        if sorted(near_anchors.get(e, [])) != sorted(d.edge_darts[e]):
+    # Each near cut sits at a dart of its own edge, so a non-tree edge's
+    # cuts are placed right iff each of its two darts anchors one.
+    for e, (d1, d2) in enumerate(d.edge_darts):
+        if e not in tree and not near_at[d1] == near_at[d2] == 1:
             bad1.append(f"edge {e} near-vertex cuts misplaced")
 
-    owner: dict[int, int] = {}
-    for a in seq.arcs:
-        for x in a.darts:
-            if x in owner:
-                bad1.append(f"dart {x} in arcs {owner[x]} and {a.id}")
-            owner[x] = a.id
-    missing = [x for x in d.darts() if x not in owner]
-    if missing:
+    passed = [x for a in arcs for x in a.darts]
+    owned = set(passed)
+    if len(owned) != len(passed):
+        owner: dict[int, int] = {}
+        for a in arcs:
+            for x in a.darts:
+                if x in owner:
+                    bad1.append(f"dart {x} in arcs {owner[x]} and {a.id}")
+                owner[x] = a.id
+    if not owned.issuperset(range(ndarts)):
+        missing = [x for x in range(ndarts) if x not in owned]
         bad1.append(f"darts covered by no arc: {missing}")
 
-    for a in seq.arcs:
-        if a.type == OUTSIDE:
+    covered = set()
+    for a in arcs:
+        typ = a.type
+        if typ == OUTSIDE:
             if a.crossings or a.darts:
                 bad2.append(f"outside arc {a.id} passes {a.crossings}")
-            if a.edge is None or a.edge in seq.tree_edges:
-                bad1.append(f"outside arc {a.id} on edge {a.edge}")
-            else:
-                want = set(d.edge_darts[a.edge])
-                for end in a.ends:
-                    p = by_id.get(end.point)
-                    if p is None:
-                        continue
-                    if p.kind != KIND_NEAR or p.edge != a.edge or \
-                            p.anchor_dart not in want:
-                        bad1.append(f"outside arc {a.id} end at point "
-                                    f"{p.id} off edge {a.edge}")
-        elif a.type in (INSIDE_UNDER, INSIDE_OVER):
-            if a.edge is not None:
-                bad1.append(f"inside arc {a.id} claims edge {a.edge}")
-            if not a.crossings or len(a.darts) != 2 * len(a.crossings):
-                bad1.append(f"inside arc {a.id} has a broken passage list")
+            e = a.edge
+            if e is None or e in tree:
+                bad1.append(f"outside arc {a.id} on edge {e}")
                 continue
-            for k, c in enumerate(a.crossings):
-                x0, x1 = a.darts[2 * k], a.darts[2 * k + 1]
-                if crossing_of(x0) != c or _passage_partner(x0) != x1:
-                    bad1.append(f"arc {a.id} passage {k} is not a strand "
-                                f"of crossing {c}")
-            for x in a.darts:
-                if ("inside-" + d.strand_type(x)) != a.type:
-                    bad3.append(f"arc {a.id} typed {a.type} passes "
-                                f"dart {x} ({d.strand_type(x)})")
-            for k, end in enumerate(a.ends):
-                edge_dart = a.darts[0] if k == 0 else a.darts[-1]
-                if end.dart != edge_dart:
-                    bad1.append(f"arc {a.id} end {k} dart mismatch")
-                p = by_id.get(end.point)
-                if p is None:
-                    continue
-                if p.kind == KIND_NEAR:
-                    if p.anchor_dart != edge_dart:
-                        bad1.append(f"arc {a.id} ends at near cut {p.id} "
-                                    f"anchored elsewhere")
-                elif p.edge != d.edge_of(edge_dart):
-                    bad1.append(f"arc {a.id} ends at cut {p.id} "
-                                f"on a different edge")
-        else:
-            bad3.append(f"arc {a.id} has unknown type {a.type!r}")
+            want = d.edge_darts[e]
+            for pid, _ in a.ends:
+                p = by_id.get(pid)
+                if p is not None and (p.kind != KIND_NEAR or p.edge != e or
+                                      p.anchor_dart not in want):
+                    bad1.append(f"outside arc {a.id} end at point "
+                                f"{p.id} off edge {e}")
+            continue
+        covered.update(a.crossings)
+        if typ != INSIDE_UNDER and typ != INSIDE_OVER:
+            bad3.append(f"arc {a.id} has unknown type {typ!r}")
+            continue
+        if a.edge is not None:
+            bad1.append(f"inside arc {a.id} claims edge {a.edge}")
+        cr, ds = a.crossings, a.darts
+        if not cr or len(ds) != 2 * len(cr):
+            bad1.append(f"inside arc {a.id} has a broken passage list")
+            continue
+        for k, c in enumerate(cr):
+            x = ds[2 * k]
+            if x >> 2 != c or x ^ 2 != ds[2 * k + 1]:
+                bad1.append(f"arc {a.id} passage {k} is not a strand "
+                            f"of crossing {c}")
+        over = typ == INSIDE_OVER    # over-strand darts are odd
+        for x in ds:
+            if x & 1 != over:
+                bad3.append(f"arc {a.id} typed {typ} passes "
+                            f"dart {x} ({d.strand_type(x)})")
+        for k, (pid, dart) in enumerate(a.ends):
+            edge_dart = ds[-k]    # ds[0] at end 0, ds[-1] at end 1
+            if dart != edge_dart:
+                bad1.append(f"arc {a.id} end {k} dart mismatch")
+            p = by_id.get(pid)
+            if p is None:
+                continue
+            if p.kind == KIND_NEAR:
+                if p.anchor_dart != edge_dart:
+                    bad1.append(f"arc {a.id} ends at near cut {p.id} "
+                                f"anchored elsewhere")
+            elif p.edge != edge_of[edge_dart]:
+                bad1.append(f"arc {a.id} ends at cut {p.id} "
+                            f"on a different edge")
 
-    covered = set()
-    for a in seq.arcs:
-        if a.type != OUTSIDE:
-            covered.update(a.crossings)
     lost = sorted(set(range(d.n)) - covered)
     if lost:
         bad2.append(f"crossings passed by no inside arc: {lost}")
-
-    for pid in point_ids:
-        if len(ends_at[pid]) != 2:
-            continue
-        a, b = ends_at[pid]
-        if a.id == b.id or a.type == b.type:
-            bad4.append(f"point {pid} joins arcs {a.id} and {b.id} "
-                        f"of type {a.type}")
 
     offenders = tuple(itertools.chain(
         (f"structure: {s}" for s in bad1),
@@ -471,4 +481,3 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
         c3_types=not bad3,
         c4_alternation=not bad4,
         offenders=offenders)
-

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .diagram import PlaneDiagram, _Forest, crossing_of, rotate
+from .diagram import PlaneDiagram, _Forest
 from .errors import DiagramError
 
 
@@ -34,18 +34,20 @@ class CellComplex:
             raise DiagramError("cell complex requires a connected diagram")
         self.diagram = diagram
 
-        total = 4 * diagram.n
-        face_of = [-1] * total
+        # after[x] = rotate(opposite(x)), the next dart along x's face.
+        after = [(y & ~3) | ((y + 1) & 3) for y in diagram._opposite]
+        face_of = [-1] * len(after)
         faces = []
-        for start in range(total):
+        for start in range(len(after)):
             if face_of[start] >= 0:
                 continue
+            k = len(faces)
             cycle = []
             d = start
             while face_of[d] < 0:
-                face_of[d] = len(faces)
+                face_of[d] = k
                 cycle.append(d)
-                d = rotate(diagram.opposite(d))
+                d = after[d]
             if d != start:
                 raise DiagramError("face trace did not close; corrupt pairing")
             faces.append(tuple(cycle))
@@ -57,12 +59,9 @@ class CellComplex:
             raise DiagramError(
                 f"rotation system is not spherical: V-E+F = {n}-{e}+{f} != 2")
 
-        self._face_edges = tuple(
-            tuple(sorted({diagram.edge_of(d) for d in cycle}))
-            for cycle in self.faces)
-        self._face_vertices = tuple(
-            tuple(sorted({crossing_of(d) for d in cycle}))
-            for cycle in self.faces)
+        edge_of = diagram._edge_of_dart.__getitem__
+        self._face_edges = tuple(tuple(sorted(set(map(edge_of, cycle))))
+                                 for cycle in self.faces)
 
     @property
     def n(self) -> int:
@@ -79,7 +78,7 @@ class CellComplex:
         return self._face_edges[face]
 
     def face_vertices(self, face: int) -> tuple[int, ...]:
-        return self._face_vertices[face]
+        return tuple(sorted({d >> 2 for d in self.faces[face]}))
 
     def face_size(self, face: int) -> int:
         """Boundary walk length in darts (counts repeated edges twice)."""
@@ -221,7 +220,7 @@ def is_contractible(sub: Subcomplex, cx: CellComplex) -> bool:
     if len(sub.vertices) - len(sub.edges) + len(sub.faces) != 1:
         return False
     merges = _Forest(cx.n).join(map(cx.diagram.edge_endpoints, sub.edges))
-    return merges == len(sub.vertices) - 1
+    return len(merges) == len(sub.vertices) - 1
 
 
 def complement_components(sub: Subcomplex, cx: CellComplex) -> int:

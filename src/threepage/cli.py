@@ -43,14 +43,15 @@ def read_entries(path: str) -> list[tuple[str, str, str | None]]:
     """(name, pd-text, error) per non-comment line; errors stay in-band.
 
     Each line is decoded as UTF-8 on its own, so a line that is not
-    becomes a parse error row and the other rows still run.
+    becomes a parse error row and the other rows still run.  A byte-order
+    mark at the start of the file is dropped.
     """
     entries = []
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode
     for lineno, raw in enumerate(lines, start=1):
         try:
-            line = raw.decode("utf-8").strip()
+            line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8").strip()
         except UnicodeDecodeError:
             entries.append((f"line-{lineno}", "",
                             f"parse: line {lineno} is not valid UTF-8"))

@@ -13,6 +13,7 @@ counterclockwise rotation at a crossing is slot -> slot + 1 (mod 4).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import cached_property
 
 from .errors import DiagramError, PDSyntaxError
@@ -22,7 +23,12 @@ OVER = "over"
 
 _ENTRY_RE = re.compile(r"X\s*[(\[]([^)\]]*)[)\]]")
 _PD_RE = re.compile(r"PD\s*\[(.*)\]\s*$", re.DOTALL)
-_LABEL_RE = re.compile(r"0*[1-9][0-9]*")
+_LABEL = r"\s*0*[1-9][0-9]*\s*"
+_ROW_RE = re.compile(rf"{_LABEL}(?:,{_LABEL})*")
+_DIGITS_RE = re.compile(r"[0-9]+")
+# A body of well-formed four-label entries only, read in one match.
+_BODY_RE = re.compile(
+    rf"(?:[\s,]*X\s*[(\[]{_LABEL},{_LABEL},{_LABEL},{_LABEL}[)\]])+[\s,]*")
 
 
 def dart_id(crossing: int, slot: int) -> int:
@@ -49,44 +55,46 @@ def strand_slot_type(slot: int) -> str:
 class PlaneDiagram:
     """Immutable PD code with its derived edge structure.
 
-    Edge darts and endpoints are computed in the constructor.  The
-    incident edges, the crossing adjacency, the split into connected
-    pieces and is_reduced are computed on first use and then kept: each
-    is a fact of the code, which never changes, and each is handed out
-    as a tuple (or a bool), so no caller can alter what the next one
-    reads.  The pieces are the _Forest roots of the edges, in order of
-    first crossing.
+    Edge darts and endpoints are computed in the constructor, with two
+    flat per-dart lists that the hot loops index: _edge_of_dart, and
+    _opposite, the other dart of the same edge.  The incident edges, the
+    crossing adjacency, the split into connected pieces and is_reduced
+    are computed on first use and then kept: each is a fact of the code,
+    which never changes, and each is handed out as a tuple (or a bool),
+    so no caller can alter what the next one reads.  The pieces are the
+    _Forest roots of the edges, in order of first crossing.
     """
 
     def __init__(self, crossings):
         rows = []
         for row in crossings:
-            entry = tuple(int(x) for x in row)
+            entry = tuple(map(int, row))
             if len(entry) != 4:
                 raise PDSyntaxError(
                     f"crossing {row!r} has {len(entry)} labels, expected 4")
             rows.append(entry)
         self.crossings = tuple(rows)
 
-        counts: dict[int, list[int]] = {}
-        for c, row in enumerate(self.crossings):
-            for s, label in enumerate(row):
-                counts.setdefault(label, []).append(dart_id(c, s))
-        bad = {lab: len(ds) for lab, ds in counts.items() if len(ds) != 2}
-        if bad:
-            detail = ", ".join(f"{lab} appears {k} times"
-                               for lab, k in sorted(bad.items()))
+        # Darts sorted by label, stably: when every label occurs twice,
+        # edge e is the e-th label and its darts sit at 2e and 2e + 1, in
+        # increasing order.  Edge ids follow sorted label order so they
+        # are reproducible.
+        labels = [lab for row in rows for lab in row]
+        darts = sorted(range(len(labels)), key=labels.__getitem__)
+        ordered = [labels[x] for x in darts]
+        self.edge_labels = tuple(ordered[0::2])
+        if ordered[0::2] != ordered[1::2] or \
+                len(set(self.edge_labels)) != len(self.edge_labels):
+            detail = ", ".join(f"{lab} appears {k} times" for lab, k
+                               in sorted(Counter(labels).items()) if k != 2)
             raise PDSyntaxError(f"arc labels must appear exactly twice: {detail}")
-
-        # Edge ids follow sorted label order so they are reproducible.
-        self.edge_labels = tuple(sorted(counts))
-        self.edge_darts = tuple(tuple(counts[lab]) for lab in self.edge_labels)
-        self._edge_of_dart = [0] * (4 * self.n)
+        self.edge_darts = tuple(zip(darts[0::2], darts[1::2]))
+        self._edge_of_dart = [0] * len(labels)
+        self._opposite = [0] * len(labels)
         for e, (d1, d2) in enumerate(self.edge_darts):
-            self._edge_of_dart[d1] = e
-            self._edge_of_dart[d2] = e
-        self._edge_ends = tuple((crossing_of(d1), crossing_of(d2))
-                                for d1, d2 in self.edge_darts)
+            self._edge_of_dart[d1] = self._edge_of_dart[d2] = e
+            self._opposite[d1], self._opposite[d2] = d2, d1
+        self._edge_ends = tuple((d1 >> 2, d2 >> 2) for d1, d2 in self.edge_darts)
 
     @property
     def n(self) -> int:
@@ -104,8 +112,7 @@ class PlaneDiagram:
 
     def opposite(self, dart: int) -> int:
         """The other dart of the same edge."""
-        d1, d2 = self.edge_darts[self._edge_of_dart[dart]]
-        return d2 if dart == d1 else d1
+        return self._opposite[dart]
 
     def edge_endpoints(self, edge: int) -> tuple[int, int]:
         return self._edge_ends[edge]
@@ -297,18 +304,24 @@ class _Forest:
 
     def union(self, a: int, b: int) -> bool:
         """Merge the components of a and b; False if they already agree."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
+        return bool(self.join(((a, b),)))
 
-    def join(self, pairs) -> int:
-        """Union each (a, b) pair; the number of merges made."""
-        return sum(self.union(a, b) for a, b in pairs)
+    def join(self, pairs) -> list[int]:
+        """Union each (a, b) pair; the indices of the pairs that merged."""
+        parent, size = self.parent, self.size
+        merged = []
+        for k, (a, b) in enumerate(pairs):
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                merged.append(k)
+        return merged
 
     def add_face(self, f: int, cx: "CellComplex") -> bool:
         """Add face f if the face set stays feasible; report whether it did.
@@ -322,11 +335,16 @@ class _Forest:
         used = self.used
         if not used.isdisjoint(edges):
             return False
-        roots = {self.find(v) for v in cx.face_vertices(f)}
+        parent, size = self.parent, self.size
+        roots = set()
+        for x in cx.faces[f]:
+            v = x >> 2
+            while parent[v] != v:
+                v = parent[v]
+            roots.add(v)
         if len(roots) != len(edges):
             return False
         used.update(edges)
-        parent, size = self.parent, self.size
         top = max(roots, key=size.__getitem__)
         roots.discard(top)
         for r in roots:
@@ -408,14 +426,14 @@ def parse_pd(text: str) -> PlaneDiagram:
     body = m.group(1).strip()
     if not body:
         return PlaneDiagram([])
+    if _BODY_RE.fullmatch(body):    # its only digits are the labels
+        labels = iter(map(int, _DIGITS_RE.findall(body)))
+        return PlaneDiagram(zip(labels, labels, labels, labels))
     rows = []
-    consumed = []
     for entry in _ENTRY_RE.finditer(body):
-        parts = [p.strip() for p in entry.group(1).split(",")]
-        if not all(_LABEL_RE.fullmatch(p) for p in parts):
+        if not _ROW_RE.fullmatch(entry.group(1)):
             raise PDSyntaxError(f"bad crossing entry: {entry.group(0)!r}")
-        rows.append(tuple(int(p) for p in parts))
-        consumed.append(entry.group(0))
+        rows.append(tuple(map(int, _DIGITS_RE.findall(entry.group(1)))))
     leftover = _ENTRY_RE.sub("", body).replace(",", "").strip()
     if leftover or not rows:
         raise PDSyntaxError(f"unparsed content in PD expression: {leftover[:40]!r}")

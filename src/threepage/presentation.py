@@ -21,7 +21,7 @@ from .binding import (PAGE_BY_TYPE, BindingSequence, crossing_pairs,
 from .diagram import PlaneDiagram
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chord:
     a: int  # binding point ids, not positions
     b: int
@@ -83,11 +83,10 @@ def to_presentation(seq: BindingSequence) -> ThreePagePresentation:
     once verify_binding has accepted seq and verify_pages the result;
     pipeline.certify runs both on every sequence it presents.
     """
-    chords = tuple(Chord(a=arc.ends[0].point, b=arc.ends[1].point,
-                         page=PAGE_BY_TYPE[arc.type],
-                         crossings=arc.crossings, arc=arc.id)
-                   for arc in seq.arcs)
-    return ThreePagePresentation(points=tuple(p.id for p in seq.points),
+    chords = tuple([Chord(arc.ends[0].point, arc.ends[1].point,
+                          PAGE_BY_TYPE[arc.type], arc.crossings, arc.id)
+                    for arc in seq.arcs])
+    return ThreePagePresentation(points=tuple([p.id for p in seq.points]),
                                  chords=chords, repaired=seq.repaired,
                                  bound=len(seq.points))
 
@@ -95,17 +94,21 @@ def to_presentation(seq: BindingSequence) -> ThreePagePresentation:
 def verify_pages(pres: ThreePagePresentation) -> PageReport:
     """Book-embedding well-formedness; never raises.
 
-    O(P log P) for P chords: degrees and page labels in one pass, then
-    one crossing_pairs scan per page for planarity.
+    Degrees and page labels in one pass over the P chords, then one
+    crossing_pairs scan per page for planarity.  Its open-chord stack
+    reports exactly the interleaving pairs, never two chords that only
+    share an end nor a chord from a point to itself, in O(P log P) for
+    the sorts and O(P) after them on a planar page.
     """
     bad_deg: list[str] = []
     bad_pages: list[str] = []
     bad_planar: list[str] = []
 
-    known = set(pres.points)
-    if len(known) != len(pres.points):
+    position = pres._position
+    if len(position) != len(pres.points):
         bad_deg.append("duplicate point ids")
-    at_point: dict[int, list[Chord]] = {pid: [] for pid in known}
+    at_point: dict[int, list[Chord]] = {pid: [] for pid in position}
+    placed, spans = [], []
     for ch in pres.chords:
         if ch.page not in (1, 2, 3):
             bad_pages.append(f"arc {ch.arc} on unknown page {ch.page}")
@@ -114,6 +117,10 @@ def verify_pages(pres: ThreePagePresentation) -> PageReport:
                 at_point[pid].append(ch)
             else:
                 bad_deg.append(f"arc {ch.arc} ends at unknown point {pid}")
+        if ch.a in position and ch.b in position:
+            x, y = position[ch.a], position[ch.b]
+            placed.append(ch)
+            spans.append((x, y) if x <= y else (y, x))
     for pid in pres.points:
         here = at_point[pid]
         if len(here) != 2:
@@ -123,9 +130,7 @@ def verify_pages(pres: ThreePagePresentation) -> PageReport:
                 f"point {pid} joins two page-{here[0].page} arcs "
                 f"({here[0].arc}, {here[1].arc})")
 
-    placed = [ch for ch in pres.chords if ch.a in known and ch.b in known]
-    for i, j in same_page_crossings([pres.span(ch) for ch in placed],
-                                    [ch.page for ch in placed]):
+    for i, j in same_page_crossings(spans, [ch.page for ch in placed]):
         c1, c2 = placed[i], placed[j]
         bad_planar.append(f"page-{c1.page} arcs {c1.arc} and {c2.arc} "
                           f"interleave")

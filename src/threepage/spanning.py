@@ -24,10 +24,6 @@ class ExtendedSpanningTree:
     edges: frozenset[int]
     faces: frozenset[int]
 
-    def subcomplex(self, cx: CellComplex) -> Subcomplex:
-        return Subcomplex(vertices=frozenset(range(cx.n)),
-                          edges=self.edges, faces=self.faces)
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -129,26 +125,28 @@ def complete_to_est(faces, cx: CellComplex) -> ExtendedSpanningTree:
     n - 1 + |faces| edges; the faces must also be pairwise edge-disjoint.
     """
     faces = frozenset(faces)
-    edges = set(_boundary_edges(faces, cx))
+    boundaries = list(map(cx.face_edges, faces))
+    edges = set().union(*boundaries)
+    # The faces are pairwise edge-disjoint iff no boundary edge repeats.
+    disjoint = sum(map(len, boundaries)) == len(edges)
     d = cx.diagram
     forest = _Forest(cx.n)
     forest.join(map(d.edge_endpoints, edges))
-    for e in range(d.edge_count):
-        if e not in edges and forest.union(*d.edge_endpoints(e)):
-            edges.add(e)
-    if len(edges) != cx.n - 1 + len(faces) or \
-            not _pairwise_edge_disjoint(faces, cx):
+    spare = [e for e in range(d.edge_count) if e not in edges]
+    edges.update(spare[k] for k in forest.join(map(d.edge_endpoints, spare)))
+    if len(edges) != cx.n - 1 + len(faces) or not disjoint:
         raise DiagramError("face set is not feasible")
     return ExtendedSpanningTree(edges=frozenset(edges), faces=faces)
 
 
 def _face_order(cx: CellComplex, order: str, seed: int) -> list[int]:
     faces = list(range(cx.face_count))
+    # The sorts are stable, so equal keys keep face id order.
     if order == "by-size":
-        faces.sort(key=lambda f: (cx.face_size(f), f))
+        faces.sort(key=cx.face_size)
     elif order == "by-dual-degree":
         adj = cx.dual_graph().adjacency
-        faces.sort(key=lambda f: (len(adj[f]), f))
+        faces.sort(key=lambda f: len(adj[f]))
     elif order == "random":
         random.Random(seed).shuffle(faces)
     else:
@@ -203,7 +201,7 @@ def oracle_max_faces(cx: CellComplex) -> int:
     all_edges = range(d.edge_count)
 
     def connects(edge_set) -> bool:
-        return _Forest(d.n).join(map(d.edge_endpoints, edge_set)) == d.n - 1
+        return len(_Forest(d.n).join(map(d.edge_endpoints, edge_set))) == d.n - 1
 
     for m in range(cx.face_count, -1, -1):
         for faces in itertools.combinations(range(cx.face_count), m):

@@ -70,6 +70,13 @@ def relabel_shift(pd_text: str, shift: int) -> str:
     return "PD[" + ", ".join("X(%d,%d,%d,%d)" % r for r in rows) + "]"
 
 
+def tree_subcomplex(est, cx):
+    """The closed subcomplex Y of an extended spanning tree: every
+    crossing, the tree edges and the tree faces."""
+    return tp.Subcomplex(vertices=frozenset(range(cx.n)), edges=est.edges,
+                         faces=est.faces)
+
+
 def disjoint_union(pd_a: str, pd_b: str) -> str:
     return pd_text(union_rows(tp.parse_pd(pd_a).crossings,
                               tp.parse_pd(pd_b).crossings))

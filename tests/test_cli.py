@@ -98,6 +98,25 @@ class TestExitCodes:
         assert [rows[k]["verified"] for k in ("a", "c")] == ["true", "true"]
         assert len(rows) == 3
 
+    def test_byte_order_mark_before_a_comment(self, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\xef\xbb\xbf# knots\n" + f"a: {HOPF}\n".encode())
+        code, out, err = run_cli(["batch", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert [r["name"] for r in csv_rows(out)] == ["a"]
+
+    def test_byte_order_mark_before_a_row(self, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + f"trefoil: {TREFOIL}\n"
+                         f"hopf: {HOPF}\n".encode())
+        svg_dir = tmp_path / "svg"
+        code, out, _ = run_cli(["batch", str(path), "--svg", str(svg_dir)],
+                               capsys)
+        assert code == 0
+        assert [r["name"] for r in csv_rows(out)] == ["hopf", "trefoil"]
+        assert sorted(p.name for p in svg_dir.iterdir()) == \
+            ["hopf.svg", "trefoil.svg"]
+
     @pytest.mark.parametrize("budget", ["0", "-3", "many"])
     def test_budget_must_be_positive(self, tmp_path, capsys, budget):
         path = write_entries(tmp_path, [f"hopf: {HOPF}"])

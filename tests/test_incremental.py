@@ -5,30 +5,41 @@ chord-crossing scan, the one-pass repair, the two explicit-stack exact
 searches, the union-find component counts, the heap-driven leafy NSIS
 growth, the edge-count feasibility test of complete_to_est, the
 union-find split of a diagram into pieces, the cut-vertex reach as the
-NSIS connectivity test and the edge-count tree check of _require_valid
-each replaced a slower version that is still in the code or spelled out
-here; both must give the same answers on corpus diagrams and on
-generated braid closures, switched crossings and split unions included.
+NSIS connectivity test, the edge-count tree check of _require_valid, and
+the flat-list parse, edge arrays, face trace, walk, verifiers and
+presentation each replaced a slower version that is still in the code or
+spelled out here; both must give the same answers on corpus diagrams and
+on generated braid closures, switched crossings and split unions
+included, and the verifiers the same offenders on broken inputs.
 """
 
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
 import threepage as tp
-from threepage import binding, presentation, spanning
-from threepage.binding import chords_cross, crossing_pairs
+from threepage import binding, diagram, presentation, spanning
+from threepage.binding import (INSIDE_OVER, INSIDE_UNDER, KIND_EDGE_CUT,
+                               KIND_NEAR, OUTSIDE, PAGE_BY_TYPE, Arc, ArcEnd,
+                               BindingPoint, BindingReport, BindingSequence,
+                               chords_cross, crossing_pairs)
 from threepage.cells import (Subcomplex, complement_components,
                              subcomplex_components)
-from threepage.diagram import _Forest, articulation_points
+from threepage.diagram import (PlaneDiagram, _Forest, articulation_points,
+                               crossing_of, dart_id, rotate)
+from threepage.errors import PDSyntaxError
 from threepage.nsis import NsisResult
+from threepage.presentation import Chord, PageReport, ThreePagePresentation
 from threepage.spanning import (ExtendedSpanningTree, SearchResult,
                                  _boundary_edges, complete_to_est,
                                  face_set_feasible)
 
-from conftest import (CORPUS_TEXTS, HOPF, KINK, TWO_CLASPS, braid_closure_pd,
-                      disjoint_union, switch_crossing, torus_pd)
+from conftest import (CORPUS_TEXTS, HOPF, KINK, TREFOIL, TWO_CLASPS,
+                      braid_closure_pd, disjoint_union, switch_crossing,
+                      torus_pd, tree_subcomplex)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -138,7 +149,7 @@ def reference_require_valid(est, cx):
         if not fe <= est.edges:
             raise tp.DiagramError("face boundary leaves the tree edge set")
         taken |= fe
-    if not tp.is_contractible(est.subcomplex(cx), cx):
+    if not tp.is_contractible(tree_subcomplex(est, cx), cx):
         raise tp.DiagramError("extended spanning tree is not contractible")
 
 
@@ -217,6 +228,381 @@ def reference_repair(seq, d):
         arcs=tuple(sorted(arcs.values(), key=lambda a: a.id)),
         n=seq.n, m=seq.m, repaired=True,
         tree_edges=seq.tree_edges, tree_faces=seq.tree_faces)
+
+
+_REFERENCE_LABEL_RE = re.compile(r"0*[1-9][0-9]*")
+
+
+def reference_parse_pd(text):
+    """parse_pd as it was: a label regex and an int() per label."""
+    stripped = text.strip()
+    if not stripped:
+        raise PDSyntaxError("empty input")
+    m = diagram._PD_RE.fullmatch(stripped)
+    if not m:
+        raise PDSyntaxError(f"not a PD expression: {stripped[:40]!r}")
+    body = m.group(1).strip()
+    if not body:
+        return PlaneDiagram([])
+    rows = []
+    consumed = []
+    for entry in diagram._ENTRY_RE.finditer(body):
+        parts = [p.strip() for p in entry.group(1).split(",")]
+        if not all(_REFERENCE_LABEL_RE.fullmatch(p) for p in parts):
+            raise PDSyntaxError(f"bad crossing entry: {entry.group(0)!r}")
+        rows.append(tuple(int(p) for p in parts))
+        consumed.append(entry.group(0))
+    leftover = diagram._ENTRY_RE.sub("", body).replace(",", "").strip()
+    if leftover or not rows:
+        raise PDSyntaxError(f"unparsed content in PD expression: {leftover[:40]!r}")
+    return PlaneDiagram(rows)
+
+
+def reference_edge_arrays(crossings):
+    """The PlaneDiagram constructor's edge arrays as they were: a dict of
+    darts per label; opposite() as it was, from the edge's dart pair."""
+    counts = {}
+    for c, row in enumerate(crossings):
+        for s, label in enumerate(row):
+            counts.setdefault(label, []).append(dart_id(c, s))
+    bad = {lab: len(ds) for lab, ds in counts.items() if len(ds) != 2}
+    if bad:
+        detail = ", ".join(f"{lab} appears {k} times"
+                           for lab, k in sorted(bad.items()))
+        raise PDSyntaxError(f"arc labels must appear exactly twice: {detail}")
+
+    # Edge ids follow sorted label order so they are reproducible.
+    edge_labels = tuple(sorted(counts))
+    edge_darts = tuple(tuple(counts[lab]) for lab in edge_labels)
+    edge_of_dart = [0] * (4 * len(crossings))
+    for e, (d1, d2) in enumerate(edge_darts):
+        edge_of_dart[d1] = e
+        edge_of_dart[d2] = e
+    edge_ends = tuple((crossing_of(d1), crossing_of(d2))
+                      for d1, d2 in edge_darts)
+    opposite = []
+    for dart in range(4 * len(crossings)):
+        d1, d2 = edge_darts[edge_of_dart[dart]]
+        opposite.append(d2 if dart == d1 else d1)
+    return edge_labels, edge_darts, edge_of_dart, edge_ends, opposite
+
+
+def reference_face_trace(diagram):
+    """The CellComplex face trace as it was: rotate(opposite(d)) per step;
+    faces, face of each dart, face edges and face vertices."""
+    total = 4 * diagram.n
+    face_of = [-1] * total
+    faces = []
+    for start in range(total):
+        if face_of[start] >= 0:
+            continue
+        cycle = []
+        d = start
+        while face_of[d] < 0:
+            face_of[d] = len(faces)
+            cycle.append(d)
+            d = rotate(diagram.opposite(d))
+        if d != start:
+            raise tp.DiagramError("face trace did not close; corrupt pairing")
+        faces.append(tuple(cycle))
+    face_edges = tuple(
+        tuple(sorted({diagram.edge_of(d) for d in cycle}))
+        for cycle in faces)
+    face_vertices = tuple(
+        tuple(sorted({crossing_of(d) for d in cycle}))
+        for cycle in faces)
+    return tuple(faces), face_of, face_edges, face_vertices
+
+
+def reference_same_page_crossings(spans, pages):
+    return [(i, j) for i, j in reference_crossing_pairs(spans)
+            if pages[i] == pages[j]]
+
+
+def reference_boundary_sequence(est, cx):
+    """boundary_sequence as it was: the orbit first, then the cuts, each
+    through an emit closure; end_for looks up every arc end."""
+    reference_require_valid(est, cx)
+    d = cx.diagram
+    tree = est.edges
+    points: list[BindingPoint] = []
+    near_by_dart: dict[int, int] = {}
+    cut_by_edge: dict[int, int] = {}
+
+    def emit(edge: int, kind: str, anchor: int) -> int:
+        points.append(BindingPoint(id=len(points), edge=edge,
+                                   kind=kind, anchor_dart=anchor))
+        return points[-1].id
+
+    if not tree:
+        if d.n != 1:
+            raise InternalError("empty tree on a multi-crossing diagram")
+        for x in range(4):
+            near_by_dart[x] = emit(d.edge_of(x), KIND_NEAR, x)
+    else:
+        in_tree = [d.edge_of(x) in tree for x in d.darts()]
+
+        def next_tree_dart(x: int) -> int:
+            y = rotate(x)
+            while not in_tree[y]:
+                y = rotate(y)
+            return y
+
+        walk_darts = {x for x in d.darts()
+                      if in_tree[x] and cx.face_of(x) not in est.faces}
+        start = min(walk_darts)
+        orbit = [start]
+        u = next_tree_dart(d.opposite(start))
+        while u != start:
+            orbit.append(u)
+            if len(orbit) > len(walk_darts):
+                raise InternalError("boundary walk does not close")
+            u = next_tree_dart(d.opposite(u))
+        if set(orbit) != walk_darts:
+            raise InternalError("boundary walk missed tree darts")
+
+        for u in orbit:
+            e = d.edge_of(u)
+            if e not in cut_by_edge:
+                cut_by_edge[e] = emit(e, KIND_EDGE_CUT, u)
+            x = rotate(d.opposite(u))
+            while not in_tree[x]:
+                near_by_dart[x] = emit(d.edge_of(x), KIND_NEAR, x)
+                x = rotate(x)
+
+        if len(cut_by_edge) != len(tree):
+            raise InternalError("some tree edge was never cut")
+        if len(near_by_dart) != 2 * (d.edge_count - len(tree)):
+            raise InternalError("near-vertex cut count mismatch")
+
+    def end_for(x: int) -> ArcEnd:
+        e = d.edge_of(x)
+        pid = cut_by_edge[e] if e in tree else near_by_dart[x]
+        return ArcEnd(point=pid, dart=x)
+
+    arcs: list[Arc] = []
+    for c in range(d.n):
+        for s, typ in ((0, INSIDE_UNDER), (1, INSIDE_OVER)):
+            x0, x1 = dart_id(c, s), dart_id(c, s + 2)
+            arcs.append(Arc(id=len(arcs), type=typ,
+                            ends=(end_for(x0), end_for(x1)),
+                            crossings=(c,), darts=(x0, x1), edge=None))
+    for e in range(d.edge_count):
+        if e in tree:
+            continue
+        d1, d2 = sorted(d.edge_darts[e])
+        arcs.append(Arc(id=len(arcs), type=OUTSIDE,
+                        ends=(ArcEnd(near_by_dart[d1], None),
+                              ArcEnd(near_by_dart[d2], None)),
+                        crossings=(), darts=(), edge=e))
+
+    seq = BindingSequence(points=tuple(points), arcs=tuple(arcs),
+                          n=d.n, m=len(est.faces), repaired=False,
+                          tree_edges=frozenset(tree),
+                          tree_faces=frozenset(est.faces))
+    if len(seq.points) != 3 * seq.n + 1 - seq.m:
+        raise InternalError(
+            f"expected {3 * seq.n + 1 - seq.m} cuts, emitted {len(seq.points)}")
+    return seq
+
+
+def reference_verify_binding(seq, d):
+    """verify_binding as it was: dicts per point and a method call per
+    dart."""
+    bad1: list[str] = []
+    bad2: list[str] = []
+    bad3: list[str] = []
+    bad4: list[str] = []
+
+    point_ids = [p.id for p in seq.points]
+    by_id = {p.id: p for p in seq.points}
+    if len(by_id) != len(point_ids):
+        bad1.append("duplicate point ids")
+    if len(seq.points) != len(seq.arcs):
+        bad1.append(f"{len(seq.points)} points but {len(seq.arcs)} arcs")
+    if len({a.id for a in seq.arcs}) != len(seq.arcs):
+        bad1.append("duplicate arc ids")
+    if not seq.repaired and len(seq.points) != 3 * seq.n + 1 - seq.m:
+        bad1.append(f"unrepaired sequence has {len(seq.points)} points, "
+                    f"expected {3 * seq.n + 1 - seq.m}")
+
+    ends_at: dict[int, list[Arc]] = {pid: [] for pid in by_id}
+    for a in seq.arcs:
+        for k, end in enumerate(a.ends):
+            if end.point in ends_at:
+                ends_at[end.point].append(a)
+            else:
+                bad1.append(f"arc {a.id} end {k} at unknown point {end.point}")
+    for pid in point_ids:
+        if len(ends_at[pid]) != 2:
+            bad1.append(f"point {pid} has {len(ends_at[pid])} arc ends")
+
+    cut_edges: dict[int, int] = {}
+    near_anchors: dict[int, list[int]] = {}
+    for p in seq.points:
+        if not (0 <= p.anchor_dart < 4 * d.n) or \
+                d.edge_of(p.anchor_dart) != p.edge:
+            bad1.append(f"point {p.id} anchored off its edge")
+            continue
+        if p.kind == KIND_EDGE_CUT:
+            if p.edge not in seq.tree_edges:
+                bad1.append(f"edge cut {p.id} on non-tree edge {p.edge}")
+            cut_edges[p.edge] = cut_edges.get(p.edge, 0) + 1
+        elif p.kind == KIND_NEAR:
+            if p.edge in seq.tree_edges:
+                bad1.append(f"near-vertex cut {p.id} on tree edge {p.edge}")
+            near_anchors.setdefault(p.edge, []).append(p.anchor_dart)
+        else:
+            bad1.append(f"point {p.id} has unknown kind {p.kind!r}")
+    for e in sorted(seq.tree_edges):
+        k = cut_edges.get(e, 0)
+        if k > 1 or (k == 0 and not seq.repaired):
+            bad1.append(f"tree edge {e} carries {k} cuts")
+    for e in range(d.edge_count):
+        if e in seq.tree_edges:
+            continue
+        if sorted(near_anchors.get(e, [])) != sorted(d.edge_darts[e]):
+            bad1.append(f"edge {e} near-vertex cuts misplaced")
+
+    owner: dict[int, int] = {}
+    for a in seq.arcs:
+        for x in a.darts:
+            if x in owner:
+                bad1.append(f"dart {x} in arcs {owner[x]} and {a.id}")
+            owner[x] = a.id
+    missing = [x for x in d.darts() if x not in owner]
+    if missing:
+        bad1.append(f"darts covered by no arc: {missing}")
+
+    for a in seq.arcs:
+        if a.type == OUTSIDE:
+            if a.crossings or a.darts:
+                bad2.append(f"outside arc {a.id} passes {a.crossings}")
+            if a.edge is None or a.edge in seq.tree_edges:
+                bad1.append(f"outside arc {a.id} on edge {a.edge}")
+            else:
+                want = set(d.edge_darts[a.edge])
+                for end in a.ends:
+                    p = by_id.get(end.point)
+                    if p is None:
+                        continue
+                    if p.kind != KIND_NEAR or p.edge != a.edge or \
+                            p.anchor_dart not in want:
+                        bad1.append(f"outside arc {a.id} end at point "
+                                    f"{p.id} off edge {a.edge}")
+        elif a.type in (INSIDE_UNDER, INSIDE_OVER):
+            if a.edge is not None:
+                bad1.append(f"inside arc {a.id} claims edge {a.edge}")
+            if not a.crossings or len(a.darts) != 2 * len(a.crossings):
+                bad1.append(f"inside arc {a.id} has a broken passage list")
+                continue
+            for k, c in enumerate(a.crossings):
+                x0, x1 = a.darts[2 * k], a.darts[2 * k + 1]
+                if crossing_of(x0) != c or rotate(rotate(x0)) != x1:
+                    bad1.append(f"arc {a.id} passage {k} is not a strand "
+                                f"of crossing {c}")
+            for x in a.darts:
+                if ("inside-" + d.strand_type(x)) != a.type:
+                    bad3.append(f"arc {a.id} typed {a.type} passes "
+                                f"dart {x} ({d.strand_type(x)})")
+            for k, end in enumerate(a.ends):
+                edge_dart = a.darts[0] if k == 0 else a.darts[-1]
+                if end.dart != edge_dart:
+                    bad1.append(f"arc {a.id} end {k} dart mismatch")
+                p = by_id.get(end.point)
+                if p is None:
+                    continue
+                if p.kind == KIND_NEAR:
+                    if p.anchor_dart != edge_dart:
+                        bad1.append(f"arc {a.id} ends at near cut {p.id} "
+                                    f"anchored elsewhere")
+                elif p.edge != d.edge_of(edge_dart):
+                    bad1.append(f"arc {a.id} ends at cut {p.id} "
+                                f"on a different edge")
+        else:
+            bad3.append(f"arc {a.id} has unknown type {a.type!r}")
+
+    covered = set()
+    for a in seq.arcs:
+        if a.type != OUTSIDE:
+            covered.update(a.crossings)
+    lost = sorted(set(range(d.n)) - covered)
+    if lost:
+        bad2.append(f"crossings passed by no inside arc: {lost}")
+
+    for pid in point_ids:
+        if len(ends_at[pid]) != 2:
+            continue
+        a, b = ends_at[pid]
+        if a.id == b.id or a.type == b.type:
+            bad4.append(f"point {pid} joins arcs {a.id} and {b.id} "
+                        f"of type {a.type}")
+
+    offenders = tuple(itertools.chain(
+        (f"structure: {s}" for s in bad1),
+        (f"coverage: {s}" for s in bad2),
+        (f"types: {s}" for s in bad3),
+        (f"alternation: {s}" for s in bad4)))
+    return BindingReport(
+        ok=not (bad1 or bad2 or bad3 or bad4),
+        c1_structure=not bad1,
+        c2_coverage=not bad2,
+        c3_types=not bad3,
+        c4_alternation=not bad4,
+        offenders=offenders)
+
+
+def reference_to_presentation(seq):
+    """to_presentation as it was: keyword records from a generator."""
+    chords = tuple(Chord(a=arc.ends[0].point, b=arc.ends[1].point,
+                         page=PAGE_BY_TYPE[arc.type],
+                         crossings=arc.crossings, arc=arc.id)
+                   for arc in seq.arcs)
+    return ThreePagePresentation(points=tuple(p.id for p in seq.points),
+                                 chords=chords, repaired=seq.repaired,
+                                 bound=len(seq.points))
+
+
+def reference_verify_pages(pres):
+    """verify_pages as it was, with the pairwise crossing test."""
+    bad_deg: list[str] = []
+    bad_pages: list[str] = []
+    bad_planar: list[str] = []
+
+    known = set(pres.points)
+    if len(known) != len(pres.points):
+        bad_deg.append("duplicate point ids")
+    at_point: dict[int, list[Chord]] = {pid: [] for pid in known}
+    for ch in pres.chords:
+        if ch.page not in (1, 2, 3):
+            bad_pages.append(f"arc {ch.arc} on unknown page {ch.page}")
+        for pid in (ch.a, ch.b):
+            if pid in at_point:
+                at_point[pid].append(ch)
+            else:
+                bad_deg.append(f"arc {ch.arc} ends at unknown point {pid}")
+    for pid in pres.points:
+        here = at_point[pid]
+        if len(here) != 2:
+            bad_deg.append(f"point {pid} has {len(here)} arc ends")
+        elif here[0].page == here[1].page:
+            bad_pages.append(
+                f"point {pid} joins two page-{here[0].page} arcs "
+                f"({here[0].arc}, {here[1].arc})")
+
+    placed = [ch for ch in pres.chords if ch.a in known and ch.b in known]
+    for i, j in reference_same_page_crossings([pres.span(ch) for ch in placed],
+                                              [ch.page for ch in placed]):
+        c1, c2 = placed[i], placed[j]
+        bad_planar.append(f"page-{c1.page} arcs {c1.arc} and {c2.arc} "
+                          f"interleave")
+
+    offenders = tuple(bad_deg + bad_pages + bad_planar)
+    return PageReport(ok=not offenders,
+                      degree_ok=not bad_deg,
+                      pages_distinct_ok=not bad_pages,
+                      planar_ok=not bad_planar,
+                      offenders=offenders)
 
 
 def reference_exact_max_faces(cx, budget=10_000_000):
@@ -956,3 +1342,224 @@ def test_exact_searches_make_one_pass_per_node(monkeypatch):
     assert connected == []       # no is_connected() up front
     assert len(passes) < res.nodes
 
+
+def outcome(fn, *args):
+    """fn's result, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def sequence_mutants(seq, d, rng):
+    """seq with one fault each: a dropped point, a duplicated id, swapped
+    arc ends, a retyped arc, an anchor off its edge or out of range, a
+    dart out of range, an end at another or an unknown point, an outside
+    arc's edge moved, an unknown kind or type, the repaired flag flipped."""
+    pts, arcs = list(seq.points), list(seq.arcs)
+    k, j = rng.randrange(len(pts)), rng.randrange(len(pts))
+    a = rng.randrange(len(arcs))
+    p, arc = pts[k], arcs[a]
+
+    def with_point(q):
+        return dataclasses.replace(seq, points=tuple(pts[:k] + [q] + pts[k + 1:]))
+
+    def with_arc(b):
+        return dataclasses.replace(seq, arcs=tuple(arcs[:a] + [b] + arcs[a + 1:]))
+
+    retype = {OUTSIDE: INSIDE_UNDER, INSIDE_UNDER: INSIDE_OVER,
+              INSIDE_OVER: OUTSIDE}
+    far = ArcEnd(rng.choice((pts[j].id, max(q.id for q in pts) + 1)),
+                 arc.ends[0].dart)
+    out = [
+        dataclasses.replace(seq, points=tuple(pts[:k] + pts[k + 1:])),
+        with_point(dataclasses.replace(p, id=pts[j].id)),
+        with_arc(dataclasses.replace(arc, ends=arc.ends[::-1])),
+        with_arc(dataclasses.replace(arc, type=retype[arc.type])),
+        with_point(dataclasses.replace(p, anchor_dart=rng.choice(
+            (-1, 4 * d.n, pts[j].anchor_dart)))),
+        with_arc(dataclasses.replace(arc, ends=(far, arc.ends[1]))),
+        with_arc(dataclasses.replace(arc, edge=rng.choice(
+            (None, 0, rng.randrange(d.edge_count))))),
+        with_point(dataclasses.replace(p, kind="sideways")),
+        with_arc(dataclasses.replace(arc, type="sideways")),
+        dataclasses.replace(seq, repaired=not seq.repaired),
+    ]
+    if arc.darts:
+        darts = list(arc.darts)
+        darts[rng.randrange(len(darts))] = rng.choice((-3, 4 * d.n + 1))
+        out.append(with_arc(dataclasses.replace(arc, darts=tuple(darts))))
+    return out
+
+
+def presentation_mutants(pres, rng):
+    """pres with one fault each: a swapped or unknown page, a moved chord
+    end, a chord from a point to itself, an end at an unknown point, a
+    dropped or duplicated point, and the points reordered, which makes
+    same-page chords interleave."""
+    chords, pts = list(pres.chords), list(pres.points)
+    c, k = rng.randrange(len(chords)), rng.randrange(len(pts))
+    ch = chords[c]
+
+    def with_chord(x):
+        return dataclasses.replace(
+            pres, chords=tuple(chords[:c] + [x] + chords[c + 1:]))
+
+    return [
+        with_chord(dataclasses.replace(ch, page={1: 2, 2: 3, 3: 1}[ch.page])),
+        with_chord(dataclasses.replace(ch, page=7)),
+        with_chord(dataclasses.replace(ch, a=rng.choice(pts))),
+        with_chord(dataclasses.replace(ch, a=ch.b)),
+        with_chord(dataclasses.replace(ch, b=max(pts) + 1)),
+        dataclasses.replace(pres, points=tuple(pts[:k] + pts[k + 1:])),
+        dataclasses.replace(pres, points=tuple(
+            pts[:k] + [pts[(k + 1) % len(pts)]] + pts[k + 1:])),
+        dataclasses.replace(pres, points=tuple(rng.sample(pts, len(pts)))),
+    ]
+
+
+def check_binding_layer(d, rng):
+    """The walk on the greedy, bfs, dfs and random trees, to_presentation
+    of the walk and of its repair, and both verifiers on these and on
+    their mutants equal their references, offender order included."""
+    cx = tp.CellComplex(d)
+    trees = [tp.greedy_max_faces(cx)] + [
+        ExtendedSpanningTree(
+            edges=tp.spanning_tree(cx, strategy=s, seed=rng.randrange(99)),
+            faces=frozenset())
+        for s in ("bfs", "dfs", "random")]
+    for est in trees:
+        raw = tp.boundary_sequence(est, cx)
+        assert raw == reference_boundary_sequence(est, cx), est
+        for seq in (raw, tp.repair(raw, d)):
+            for mutant in [seq] + sequence_mutants(seq, d, rng):
+                assert outcome(tp.verify_binding, mutant, d) == \
+                    outcome(reference_verify_binding, mutant, d), mutant
+            pres = tp.to_presentation(seq)
+            assert pres == reference_to_presentation(seq)
+            for mutant in [pres] + presentation_mutants(pres, rng):
+                assert tp.verify_pages(mutant) == \
+                    reference_verify_pages(mutant), mutant
+
+
+def check_front_end(d):
+    """The diagram's edge arrays and its complex's faces equal their
+    references."""
+    assert (d.edge_labels, d.edge_darts, d._edge_of_dart, d._edge_ends,
+            d._opposite) == reference_edge_arrays(d.crossings)
+    cx = tp.CellComplex(d)
+    assert (cx.faces, cx._face_of_dart, cx._face_edges,
+            tuple(map(cx.face_vertices, range(cx.face_count)))) == \
+        reference_face_trace(d)
+
+
+def test_binding_layer_matches_references_on_fixed_cases():
+    rng = random.Random(12)
+    for d in FIXED_DIAGRAMS:
+        check_front_end(d)
+        check_binding_layer(d, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_closures(), st.randoms(use_true_random=False))
+def test_binding_layer_matches_references(text, rng):
+    for d in components(text):
+        check_front_end(d)
+        check_binding_layer(d, rng)
+
+
+def parsed(parse, text):
+    try:
+        return parse(text).crossings
+    except PDSyntaxError as exc:
+        return str(exc)
+
+
+def edge_arrays(rows):
+    try:
+        d = tp.PlaneDiagram(rows)
+    except PDSyntaxError as exc:
+        return str(exc)
+    return d.edge_labels, d.edge_darts, d._edge_of_dart, d._edge_ends, \
+        d._opposite
+
+
+LABEL_EDITS = ("0", "00", "007", "١", "-1", "1.5", "", "a", " 3 ",
+               " 3\x1c", "12345678901234567890")
+INSERTS = (" ", ",", "\n", "\t", "foo", "X(1,1,2,2)", "X[2,3,3,2]", ")",
+           "]", "X", "(", "PD[", ", ,")
+
+
+@st.composite
+def pd_texts(draw):
+    """Braid closure PD codes, some with labels, brackets or separators
+    edited, so that every parse_pd error shows up."""
+    text = draw(split_closures())
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = rng.randrange(4)
+        if kind == 0:
+            m = rng.choice(list(re.finditer(r"[0-9]+", text)))
+            text = text[:m.start()] + rng.choice(LABEL_EDITS) + text[m.end():]
+        elif kind == 1:
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + rng.choice(INSERTS) + text[k:]
+        elif kind == 2:
+            k = rng.randrange(len(text))
+            text = text[:k] + text[k + 1:]
+        else:
+            text = text.replace("(", "[", 1).replace(")", "]", 1)
+    return text
+
+
+def test_parse_matches_reference_on_fixed_cases():
+    texts = FIXED + ["PD[]", "PD[ ]", " PD[X(1,1,2,2)] ", "PD[X(1,2,3,4)]",
+                     "PD[X(0,0,1,1)]", "PD[X(١,١,2,2)]",
+                     "PD[X(1,1,2,2),]", "PD[,X(1,1,2,2)]", "PD[X(1,1,2,2)",
+                     "PD[X(1,1,2)]", "PD[X(1,1,2,2,3,3)]", "PD[X(1, 1, 2, 2]]",
+                     "PD[X(01,1,\x1c2,2 )]", "PD[X(1,1,2,2) junk]",
+                     "PD[X(1,1,2,2)\nX(3,3,4,4)]", "X(1,1,2,2)", ""]
+    for text in texts:
+        assert parsed(tp.parse_pd, text) == parsed(reference_parse_pd, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pd_texts())
+def test_parse_matches_reference(text):
+    assert parsed(tp.parse_pd, text) == parsed(reference_parse_pd, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closures(max_n=10), st.randoms(use_true_random=False))
+def test_edge_arrays_match_reference(text, rng):
+    """On valid rows and on rows with relabelled ends, which leave labels
+    once, three times or in new orders."""
+    rows = [list(row) for row in tp.parse_pd(text).crossings]
+    top = max(map(max, rows))
+    for _ in range(rng.randrange(3)):
+        row = rng.choice(rows)
+        row[rng.randrange(4)] = rng.randint(1, top + 1)
+    try:
+        want = reference_edge_arrays(rows)
+    except PDSyntaxError as exc:
+        want = str(exc)
+    assert edge_arrays(rows) == want
+
+
+def test_records_are_frozen_and_replaceable():
+    cx = tp.CellComplex(tp.parse_pd(TREFOIL))
+    seq = tp.boundary_sequence(tp.greedy_max_faces(cx), cx)
+    pres = tp.to_presentation(seq)
+    for record, field in ((seq.points[0], "edge"), (seq.arcs[0], "type"),
+                          (pres.chords[0], "page")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, 7)
+        changed = dataclasses.replace(record, **{field: 7})
+        assert getattr(changed, field) == 7 and changed != record
+        assert dataclasses.replace(record) == record
+        assert not hasattr(record, "__dict__")    # slotted
+    end = seq.arcs[0].ends[0]
+    with pytest.raises(AttributeError):
+        end.point = 7
+    assert end == (end.point, end.dart) and isinstance(end, tuple)
+    assert end._replace(dart=None) == ArcEnd(end.point, None)
