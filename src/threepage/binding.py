@@ -270,59 +270,59 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
     belong to one arc is left alone: removing it would close the arc into
     a circle with no binding point at all.  Idempotent.
 
-    One pass over the edge cuts in circle order.  A cut that is not
-    removable never becomes so: the types at a cut do not change, and a
-    merge can only make its two ends belong to one arc.  So the pass
-    removes the same points, in the same order, as rescanning from the
-    start after every merge.  The two arcs at a cut are taken oldest
-    first, a merged arc counting as the newest.
+    Pass 1 joins arcs in a union-find, once over the edge cuts in circle
+    order: a cut that is not removable never becomes so, so this removes
+    the points a rescan after every merge would.  A merged arc keeps an
+    age and its first and last free end (end k of arc i is 2i + k).  A
+    merge runs from the older arc's far end to the newer one's and makes
+    the newest arc.  Pass 2 walks each merged arc once from its first end
+    and builds one Arc, with the least id of its pieces.  O(A log A + P).
     """
-    arcs = {a.id: a for a in seq.arcs}
-    rank = dict(zip(arcs, itertools.count()))
-    age = len(rank)
+    arcs = seq.arcs
     # The two arc ends at each edge cut; other points are never removed.
-    ends_at: dict[int, list[tuple[int, int]]] = {
+    ends_at: dict[int, list[int]] = {
         p.id: [] for p in seq.points if p.kind == KIND_EDGE_CUT}
-    for a in seq.arcs:
+    for k, a in enumerate(arcs):
         (p, _), (q, _) = a.ends
         if p in ends_at:
-            ends_at[p].append((a.id, 0))
+            ends_at[p].append(2 * k)
         if q in ends_at:
-            ends_at[q].append((a.id, 1))
+            ends_at[q].append(2 * k + 1)
+    forest = _Forest(len(arcs))
+    free: dict[int, tuple[int, int, int]] = {}  # root: age, first, last
+    across: dict[int, int] = {}    # the other end at each removed cut
     removed = set()
-    for pid, here in ends_at.items():
-        (aid, i), (bid, j) = here
-        if aid == bid or arcs[aid].type != arcs[bid].type:
+    for age, (pid, (x, y)) in enumerate(ends_at.items(), len(arcs)):
+        if arcs[x >> 1].type != arcs[y >> 1].type:
             continue
-        if rank[aid] > rank[bid]:
-            (aid, i), (bid, j) = (bid, j), (aid, i)
-        a, b = arcs.pop(aid), arcs.pop(bid)
-        a_darts, a_cross = a.darts, a.crossings
-        a_far = a.ends[0]
-        if i == 0:  # orient a so its cut end comes last
-            a_darts, a_cross = a_darts[::-1], a_cross[::-1]
-            a_far = a.ends[1]
-        b_darts, b_cross = b.darts, b.crossings
-        b_far = b.ends[1]
-        if j == 1:  # orient b so its cut end comes first
-            b_darts, b_cross = b_darts[::-1], b_cross[::-1]
-            b_far = b.ends[0]
-        merged = Arc(min(aid, bid), a.type, (a_far, b_far),
-                     a_cross + b_cross, a_darts + b_darts, None)
-        arcs[merged.id] = merged
-        rank[merged.id] = age
-        age += 1
-        # Point the two far ends at the merged arc (a far end that is no
-        # edge cut gets a throwaway list); find both entries first, since
-        # the far ends may share a point.
-        at_a = ends_at.get(a_far.point, [(aid, 1 - i)])
-        at_b = ends_at.get(b_far.point, [(bid, 1 - j)])
-        ka, kb = at_a.index((aid, 1 - i)), at_b.index((bid, 1 - j))
-        at_a[ka], at_b[kb] = (merged.id, 0), (merged.id, 1)
+        ra, rb = forest.find(x >> 1), forest.find(y >> 1)
+        if ra == rb:
+            continue
+        a = free.pop(ra, (ra, 2 * ra, 2 * ra + 1))
+        b = free.pop(rb, (rb, 2 * rb, 2 * rb + 1))
+        if a > b:    # by age
+            a, b, x, y = b, a, y, x
+        forest.union(ra, rb)
+        free[forest.find(ra)] = (age, a[1] ^ a[2] ^ x, b[1] ^ b[2] ^ y)
+        across[x], across[y] = y, x
         removed.add(pid)
+    out = {a.id: a for a in arcs}
+    for _, x, last in free.values():
+        ends = (arcs[x >> 1].ends[x & 1], arcs[last >> 1].ends[last & 1])
+        ids, crossings, darts = [], [], []
+        while True:    # in at end x of arc x >> 1, out at end x ^ 1
+            a = out.pop(arcs[x >> 1].id)
+            ids.append(a.id)
+            crossings += a.crossings[::-1] if x & 1 else a.crossings
+            darts += a.darts[::-1] if x & 1 else a.darts
+            if x ^ 1 == last:
+                break
+            x = across[x ^ 1]
+        out[min(ids)] = Arc(min(ids), a.type, ends, tuple(crossings),
+                            tuple(darts), None)
     return BindingSequence(
         points=tuple([q for q in seq.points if q.id not in removed]),
-        arcs=tuple(map(arcs.__getitem__, sorted(arcs))),
+        arcs=tuple(map(out.__getitem__, sorted(out))),
         n=seq.n, m=seq.m, repaired=True,
         tree_edges=seq.tree_edges, tree_faces=seq.tree_faces)
 
@@ -408,9 +408,13 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
                 if x in owner:
                     bad1.append(f"dart {x} in arcs {owner[x]} and {a.id}")
                 owner[x] = a.id
-    if not owned.issuperset(range(ndarts)):
+    if len(owned) != ndarts or not owned.issuperset(range(ndarts)):
         missing = [x for x in range(ndarts) if x not in owned]
-        bad1.append(f"darts covered by no arc: {missing}")
+        if missing:
+            bad1.append(f"darts covered by no arc: {missing}")
+        stray = sorted(x for x in owned if not 0 <= x < ndarts)
+        if stray:
+            bad1.append(f"darts out of range: {stray}")
 
     covered = set()
     for a in arcs:
@@ -419,7 +423,7 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
             if a.crossings or a.darts:
                 bad2.append(f"outside arc {a.id} passes {a.crossings}")
             e = a.edge
-            if e is None or e in tree:
+            if e is None or e in tree or not 0 <= e < d.edge_count:
                 bad1.append(f"outside arc {a.id} on edge {e}")
                 continue
             want = d.edge_darts[e]
@@ -461,7 +465,7 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
                 if p.anchor_dart != edge_dart:
                     bad1.append(f"arc {a.id} ends at near cut {p.id} "
                                 f"anchored elsewhere")
-            elif p.edge != edge_of[edge_dart]:
+            elif 0 <= edge_dart < ndarts and p.edge != edge_of[edge_dart]:
                 bad1.append(f"arc {a.id} ends at cut {p.id} "
                             f"on a different edge")
 

@@ -119,16 +119,13 @@ class CellComplex:
     @cached_property
     def _dual(self) -> "DualGraph":
         colors = self.checkerboard()
-        parallel = tuple((e, *self.edge_sides(e))
-                         for e in range(self.diagram.edge_count))
         adj: dict[int, set[int]] = {f: set() for f in range(self.face_count)}
-        for _, a, b in parallel:
+        for a, b in map(self.edge_sides, range(self.diagram.edge_count)):
             if a != b:
                 adj[a].add(b)
                 adj[b].add(a)
         return DualGraph(
             face_count=self.face_count,
-            parallel_edges=parallel,
             adjacency=MappingProxyType(
                 {f: frozenset(s) for f, s in adj.items()}),
             classes=(frozenset(f for f, c in enumerate(colors) if c == 0),
@@ -138,10 +135,9 @@ class CellComplex:
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Faces as vertices; one parallel edge per primal edge."""
+    """Faces as vertices, adjacent when they share a primal edge."""
 
     face_count: int
-    parallel_edges: tuple[tuple[int, int, int], ...]  # (primal edge, f, g)
     adjacency: Mapping[int, frozenset[int]]  # read-only
     classes: tuple[frozenset[int], frozenset[int]]
 

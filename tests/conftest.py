@@ -58,6 +58,13 @@ def braid_closure_pd(word, strands: int) -> str:
     return pd_text(closure_rows(word, strands))
 
 
+def switched_torus_pd(n: int) -> str:
+    """T(2, n) with every other crossing switched.  Every edge is
+    non-alternating, but for odd n the one closing the cycle, so repair
+    chains one arc through all n crossings, or n - 1 for odd n."""
+    return pd_text(switch(closure_rows([1] * n, 2), range(0, n, 2)))
+
+
 def switch_crossing(text: str, idx: int) -> str:
     return pd_text(switch(tp.parse_pd(text).crossings, [idx]))
 

@@ -1,5 +1,7 @@
 """Binding circle construction, repair, and the four-condition verifier."""
 
+import dataclasses
+
 import pytest
 
 from threepage import (
@@ -167,6 +169,28 @@ class TestVerifier:
             rep = verify_binding(seq, d)
             assert rep.ok, (name, rep.offenders)
             assert rep.offenders == ()
+
+    @pytest.mark.parametrize("field, value", [
+        ("darts", 4 * 3 + 1), ("edge", 99), ("darts", -3), ("edge", -1)])
+    def test_out_of_range_is_a_structure_offender(self, field, value):
+        # An inside arc's end dart at an edge cut, or an outside arc's
+        # edge, outside the diagram's range: reported, never raised.
+        d, cx, est, seq = build(TREFOIL)
+        cuts = {p.id for p in seq.points if p.kind == "edge-cut"}
+        if field == "darts":
+            k, arc = next((k, a) for k, a in enumerate(seq.arcs)
+                          if a.darts and a.ends[0].point in cuts)
+            bad = dataclasses.replace(arc, darts=(value,) + arc.darts[1:])
+            want = f"structure: darts out of range: [{value}]"
+        else:
+            k, arc = next((k, a) for k, a in enumerate(seq.arcs)
+                          if a.edge is not None)
+            bad = dataclasses.replace(arc, edge=value)
+            want = f"structure: outside arc {arc.id} on edge {value}"
+        arcs = seq.arcs[:k] + (bad,) + seq.arcs[k + 1:]
+        rep = verify_binding(dataclasses.replace(seq, arcs=arcs), d)
+        assert not rep.ok and not rep.c1_structure
+        assert want in rep.offenders, rep.offenders
 
     def test_alternation_offenders_named(self):
         d, cx, est, seq = build(HOPF_SWITCHED)

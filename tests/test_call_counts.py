@@ -5,17 +5,19 @@ verify_pages or exact_max_faces gets a counting wrapper in its place,
 then cli.analyze_entry runs one row.  Each step runs once per component:
 one repair, one verify_binding on the repaired circle and one
 verify_pages.  Under --no-repair no repair runs, and verify_binding
-checks the raw walk.
+checks the raw walk.  A growth guard counts the arcs repair builds on a
+long chain of merges.
 """
 
 import sys
 
 import pytest
 
-from threepage import cli
+import threepage as tp
+from threepage import binding, cli
 
 from conftest import (CORPUS_TEXTS, FIGURE_EIGHT, TREFOIL_SWITCHED,
-                      disjoint_union)
+                      disjoint_union, switched_torus_pd)
 
 COUNTED = ("repair", "verify_binding", "verify_pages", "exact_max_faces")
 
@@ -70,3 +72,20 @@ def test_budget_hit_row_searches_once(calls):
     assert row["m_max"] == row["m"]
     assert calls["exact_max_faces"] == 1
 
+
+def test_repair_builds_each_merged_arc_once(monkeypatch):
+    """Switched T(2, 1000) makes some two thousand merges on the greedy
+    tree; repair builds one Arc per merged arc, not one per merge."""
+    d = tp.parse_pd(switched_torus_pd(1000))
+    cx = tp.CellComplex(d)
+    raw = tp.boundary_sequence(tp.greedy_max_faces(cx), cx)
+    built, real = [], binding.Arc
+
+    def arc(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(binding, "Arc", arc)
+    fixed = tp.repair(raw, d)
+    assert len(raw.points) - len(fixed.points) >= 999
+    assert len(built) == sum(len(a.crossings) > 1 for a in fixed.arcs)

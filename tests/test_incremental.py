@@ -1,16 +1,17 @@
 """The near-linear tests of the default pipeline against their references.
 
 Incremental face feasibility, the one-pass is_reduced, the sweep
-chord-crossing scan, the one-pass repair, the two explicit-stack exact
-searches, the union-find component counts, the heap-driven leafy NSIS
-growth, the edge-count feasibility test of complete_to_est, the
-union-find split of a diagram into pieces, the cut-vertex reach as the
-NSIS connectivity test, the edge-count tree check of _require_valid, and
-the flat-list parse, edge arrays, face trace, walk, verifiers and
-presentation each replaced a slower version that is still in the code or
-spelled out here; both must give the same answers on corpus diagrams and
-on generated braid closures, switched crossings and split unions
-included, and the verifiers the same offenders on broken inputs.
+chord-crossing scan, the one-pass repair and its union-find rewrite, the
+two explicit-stack exact searches, the union-find component counts, the
+heap-driven leafy NSIS growth, the edge-count feasibility test of
+complete_to_est, the union-find split of a diagram into pieces, the
+cut-vertex reach as the NSIS connectivity test, the edge-count tree
+check of _require_valid, and the flat-list parse, edge arrays, face
+trace, walk, verifiers and presentation each replaced a slower version
+that is still in the code or spelled out here; both must give the same
+answers on corpus diagrams and on generated braid closures, switched
+crossings and split unions included, and the verifiers the same
+offenders on broken inputs.
 """
 
 import dataclasses
@@ -39,7 +40,7 @@ from threepage.spanning import (ExtendedSpanningTree, SearchResult,
 
 from conftest import (CORPUS_TEXTS, HOPF, KINK, TREFOIL, TWO_CLASPS,
                       braid_closure_pd, disjoint_union, switch_crossing,
-                      torus_pd, tree_subcomplex)
+                      switched_torus_pd, torus_pd, tree_subcomplex)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -226,6 +227,60 @@ def reference_repair(seq, d):
     return binding.BindingSequence(
         points=tuple(points),
         arcs=tuple(sorted(arcs.values(), key=lambda a: a.id)),
+        n=seq.n, m=seq.m, repaired=True,
+        tree_edges=seq.tree_edges, tree_faces=seq.tree_faces)
+
+
+def reference_one_pass_repair(seq, d):
+    """repair as it was before the union-find: one pass over the edge
+    cuts, the two arcs at a cut ranked by age, tuples concatenated on
+    every merge and the far ends patched in place."""
+    arcs = {a.id: a for a in seq.arcs}
+    rank = dict(zip(arcs, itertools.count()))
+    age = len(rank)
+    # The two arc ends at each edge cut; other points are never removed.
+    ends_at: dict[int, list[tuple[int, int]]] = {
+        p.id: [] for p in seq.points if p.kind == KIND_EDGE_CUT}
+    for a in seq.arcs:
+        (p, _), (q, _) = a.ends
+        if p in ends_at:
+            ends_at[p].append((a.id, 0))
+        if q in ends_at:
+            ends_at[q].append((a.id, 1))
+    removed = set()
+    for pid, here in ends_at.items():
+        (aid, i), (bid, j) = here
+        if aid == bid or arcs[aid].type != arcs[bid].type:
+            continue
+        if rank[aid] > rank[bid]:
+            (aid, i), (bid, j) = (bid, j), (aid, i)
+        a, b = arcs.pop(aid), arcs.pop(bid)
+        a_darts, a_cross = a.darts, a.crossings
+        a_far = a.ends[0]
+        if i == 0:  # orient a so its cut end comes last
+            a_darts, a_cross = a_darts[::-1], a_cross[::-1]
+            a_far = a.ends[1]
+        b_darts, b_cross = b.darts, b.crossings
+        b_far = b.ends[1]
+        if j == 1:  # orient b so its cut end comes first
+            b_darts, b_cross = b_darts[::-1], b_cross[::-1]
+            b_far = b.ends[0]
+        merged = Arc(min(aid, bid), a.type, (a_far, b_far),
+                     a_cross + b_cross, a_darts + b_darts, None)
+        arcs[merged.id] = merged
+        rank[merged.id] = age
+        age += 1
+        # Point the two far ends at the merged arc (a far end that is no
+        # edge cut gets a throwaway list); find both entries first, since
+        # the far ends may share a point.
+        at_a = ends_at.get(a_far.point, [(aid, 1 - i)])
+        at_b = ends_at.get(b_far.point, [(bid, 1 - j)])
+        ka, kb = at_a.index((aid, 1 - i)), at_b.index((bid, 1 - j))
+        at_a[ka], at_b[kb] = (merged.id, 0), (merged.id, 1)
+        removed.add(pid)
+    return BindingSequence(
+        points=tuple([q for q in seq.points if q.id not in removed]),
+        arcs=tuple(map(arcs.__getitem__, sorted(arcs))),
         n=seq.n, m=seq.m, repaired=True,
         tree_edges=seq.tree_edges, tree_faces=seq.tree_faces)
 
@@ -889,13 +944,23 @@ def test_fixed_cases_match_references(k):
     check_witness(d)
 
 
-def check_repair(d):
+def non_alternating(est, d):
+    """a(Y): the tree edges whose two darts have the same parity, so that
+    both ends are under-passages or both over-passages."""
+    return sum((x ^ y) & 1 == 0
+               for x, y in map(d.edge_darts.__getitem__, est.edges))
+
+
+def check_repair(d, rescan=True):
     """Merges made on the walks of the greedy tree and of the bfs, dfs and
     random spanning trees.
 
     Each raw walk meets its own contract, binding conditions 1-3, which
     certify leaves to its one verify_binding on the repaired circle, and
-    its repair is a binding circle.
+    its repair is a binding circle.  repair equals the one-pass copy,
+    and the rescan reference unless rescan is off, field for field; it
+    is idempotent, and it removes one point per non-alternating tree
+    edge, a(Y).
     """
     cx = tp.CellComplex(d)
     trees = [tp.greedy_max_faces(cx)] + [
@@ -909,8 +974,14 @@ def check_repair(d):
         assert report.c1_structure and report.c2_coverage and \
             report.c3_types, report.offenders
         fixed = tp.repair(raw, d)
-        assert fixed == reference_repair(raw, d), est
+        assert fixed == reference_one_pass_repair(raw, d), est
+        if rescan:
+            assert fixed == reference_repair(raw, d), est
+        assert tp.repair(fixed, d) == reference_one_pass_repair(fixed, d) \
+            == fixed, est
         assert tp.verify_binding(fixed, d).ok, est
+        assert len(raw.points) - len(fixed.points) == \
+            non_alternating(est, d), est
         merges += len(raw.points) - len(fixed.points)
     return merges
 
@@ -924,6 +995,26 @@ def test_repair_matches_rescan_on_fixed_cases():
 def test_repair_matches_rescan(text):
     for d in components(text):
         check_repair(d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 1001, 2000])
+def test_repair_matches_one_pass_on_long_chains(n):
+    """Switched T(2, n): at least n - 1 merges on each of the four trees,
+    one fewer for odd n.  Only the one-pass copy is compared; the rescan
+    is too slow here."""
+    assert check_repair(tp.parse_pd(switched_torus_pd(n)), rescan=False) \
+        >= 4 * (n - 1 - n % 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_closures())
+def test_certified_bound_is_at_most_3n_minus_1(text):
+    """The paper's bound alpha_3 <= 3c - 1, on every reduced component
+    with at least three crossings."""
+    for d in components(text):
+        if d.n >= 3 and d.is_reduced():
+            cert = tp.certify(d)
+            assert cert.verified and len(cert.final.points) <= 3 * d.n - 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -1354,8 +1445,9 @@ def outcome(fn, *args):
 def sequence_mutants(seq, d, rng):
     """seq with one fault each: a dropped point, a duplicated id, swapped
     arc ends, a retyped arc, an anchor off its edge or out of range, a
-    dart out of range, an end at another or an unknown point, an outside
-    arc's edge moved, an unknown kind or type, the repaired flag flipped."""
+    dart out of range, an end at another or an unknown point, an arc's
+    edge moved or out of range, an unknown kind or type, the repaired flag
+    flipped."""
     pts, arcs = list(seq.points), list(seq.arcs)
     k, j = rng.randrange(len(pts)), rng.randrange(len(pts))
     a = rng.randrange(len(arcs))
@@ -1380,7 +1472,7 @@ def sequence_mutants(seq, d, rng):
             (-1, 4 * d.n, pts[j].anchor_dart)))),
         with_arc(dataclasses.replace(arc, ends=(far, arc.ends[1]))),
         with_arc(dataclasses.replace(arc, edge=rng.choice(
-            (None, 0, rng.randrange(d.edge_count))))),
+            (None, 0, rng.randrange(d.edge_count), -1, d.edge_count)))),
         with_point(dataclasses.replace(p, kind="sideways")),
         with_arc(dataclasses.replace(arc, type="sideways")),
         dataclasses.replace(seq, repaired=not seq.repaired),
@@ -1418,10 +1510,22 @@ def presentation_mutants(pres, rng):
     ]
 
 
+def out_of_range(seq, d):
+    """Whether an arc of seq passes a dart, or an outside arc lies on an
+    edge, that the diagram does not have."""
+    return any(not 0 <= x < 4 * d.n for a in seq.arcs for x in a.darts) or \
+        any(a.type == OUTSIDE and a.edge is not None and
+            not 0 <= a.edge < d.edge_count for a in seq.arcs)
+
+
 def check_binding_layer(d, rng):
     """The walk on the greedy, bfs, dfs and random trees, to_presentation
     of the walk and of its repair, and both verifiers on these and on
-    their mutants equal their references, offender order included."""
+    their mutants equal their references, offender order included.
+
+    The one exception: where the reference verify_binding raises, or
+    indexes with an out-of-range dart or edge, verify_binding returns a
+    failed report with a structure offender instead."""
     cx = tp.CellComplex(d)
     trees = [tp.greedy_max_faces(cx)] + [
         ExtendedSpanningTree(
@@ -1433,8 +1537,14 @@ def check_binding_layer(d, rng):
         assert raw == reference_boundary_sequence(est, cx), est
         for seq in (raw, tp.repair(raw, d)):
             for mutant in [seq] + sequence_mutants(seq, d, rng):
-                assert outcome(tp.verify_binding, mutant, d) == \
-                    outcome(reference_verify_binding, mutant, d), mutant
+                got = tp.verify_binding(mutant, d)
+                want = outcome(reference_verify_binding, mutant, d)
+                if isinstance(want, type) or out_of_range(mutant, d):
+                    assert not got.ok and any(
+                        o.startswith("structure: ") for o in got.offenders), \
+                        mutant
+                else:
+                    assert got == want, mutant
             pres = tp.to_presentation(seq)
             assert pres == reference_to_presentation(seq)
             for mutant in [pres] + presentation_mutants(pres, rng):
