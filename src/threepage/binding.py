@@ -268,7 +268,8 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
     removal merges the two arcs into one of the common type that passes
     both crossing runs, and drops one point.  A cut both of whose ends
     belong to one arc is left alone: removing it would close the arc into
-    a circle with no binding point at all.  Idempotent.
+    a circle with no binding point at all.  So is a cut without exactly
+    two arc ends, which verify_binding reports.  Idempotent.
 
     Pass 1 joins arcs in a union-find, once over the edge cuts in circle
     order: a cut that is not removable never becomes so, so this removes
@@ -292,9 +293,10 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
     free: dict[int, tuple[int, int, int]] = {}  # root: age, first, last
     across: dict[int, int] = {}    # the other end at each removed cut
     removed = set()
-    for age, (pid, (x, y)) in enumerate(ends_at.items(), len(arcs)):
-        if arcs[x >> 1].type != arcs[y >> 1].type:
+    for age, (pid, xy) in enumerate(ends_at.items(), len(arcs)):
+        if len(xy) != 2 or arcs[xy[0] >> 1].type != arcs[xy[1] >> 1].type:
             continue
+        x, y = xy
         ra, rb = forest.find(x >> 1), forest.find(y >> 1)
         if ra == rb:
             continue

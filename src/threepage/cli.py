@@ -6,9 +6,10 @@ plus SVG figures on request.  Output bytes are a function of the input
 file, the seed and the flags; nothing else leaks in.
 
 Exit codes: 0 ok, 1 parse error, 2 validation error (or two rows that
-map to one SVG file), 3 verification failure or an internal error.  A
-bound is only ever printed when its presentation passed every verifier;
-failing rows carry the failure text instead.
+map to one SVG file, or an SVG file that cannot be written), 3
+verification failure or an internal error.  A bound is only ever
+printed when its presentation passed every verifier; failing rows carry
+the failure text instead.
 """
 
 from __future__ import annotations
@@ -185,8 +186,13 @@ def _safe_name(name: str) -> str:
 
 def _write_svgs(rows: list[dict], config: RunConfig) -> tuple[list[str], int]:
     """Sorted paths written, and VALIDATION if a row was skipped because
-    an earlier row had written its file."""
-    os.makedirs(config.svg_dir, exist_ok=True)
+    an earlier row had written its file, or if the directory or a file
+    could not be written; the rows are reported either way."""
+    try:
+        os.makedirs(config.svg_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"validation: cannot write SVG: {exc}", file=sys.stderr)
+        return [], VALIDATION
     writer: dict[str, str] = {}  # path -> name of the row that wrote it
     severity = OK
     for row in rows:
@@ -202,8 +208,13 @@ def _write_svgs(rows: list[dict], config: RunConfig) -> tuple[list[str], int]:
                       f"kept the first", file=sys.stderr)
                 severity = VALIDATION
                 continue
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(render_svg(pres))
+            try:
+                with open(out_path, "w", encoding="utf-8") as fh:
+                    fh.write(render_svg(pres))
+            except OSError as exc:
+                print(f"validation: cannot write SVG: {exc}", file=sys.stderr)
+                severity = VALIDATION
+                continue
             writer[out_path] = row["name"]
     return sorted(writer), severity
 

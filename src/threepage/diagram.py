@@ -57,12 +57,12 @@ class PlaneDiagram:
 
     Edge darts and endpoints are computed in the constructor, with two
     flat per-dart lists that the hot loops index: _edge_of_dart, and
-    _opposite, the other dart of the same edge.  The incident edges, the
-    crossing adjacency, the split into connected pieces and is_reduced
-    are computed on first use and then kept: each is a fact of the code,
-    which never changes, and each is handed out as a tuple (or a bool),
-    so no caller can alter what the next one reads.  The pieces are the
-    _Forest roots of the edges, in order of first crossing.
+    _opposite, the other dart of the same edge; every question about the
+    crossing graph reads them.  The split into connected pieces and
+    is_reduced are computed on first use and then kept: each is a fact of
+    the code, which never changes, and the pieces are handed out as
+    tuples, so no caller can alter what the next one reads.  The pieces
+    are the _Forest roots of the edges, in order of first crossing.
     """
 
     def __init__(self, crossings):
@@ -134,22 +134,6 @@ class PlaneDiagram:
         return all((d1 ^ d2) & 1 for d1, d2 in self.edge_darts)
 
     @cached_property
-    def _incident(self) -> tuple[tuple[int, ...], ...]:
-        """Edges at each crossing in edge-id order, a loop edge once."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for e, (a, b) in enumerate(self._edge_ends):
-            inc[a].append(e)
-            if b != a:
-                inc[b].append(e)
-        return tuple(map(tuple, inc))
-
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        ends = self._edge_ends    # the far end of e at c is a + b - c
-        return tuple(tuple(sum(ends[e]) - c for e in es)
-                     for c, es in enumerate(self._incident))
-
-    @cached_property
     def _component_sets(self) -> tuple[tuple[int, ...], ...]:
         forest = _Forest(self.n)
         forest.join(self._edge_ends)
@@ -179,8 +163,8 @@ class PlaneDiagram:
         its own block, so the crossing separates it from the rest.  With
         that convention a reduced diagram has four pairwise distinct edges
         at every crossing and a 2-connected underlying graph.  O(n): one
-        articulation-point pass over the underlying graph, on the first
-        call only.
+        cut_vertices pass over the underlying graph, on the first call
+        only.
         """
         return self._reduced
 
@@ -192,8 +176,10 @@ class PlaneDiagram:
             return False
         if self.n <= 2:
             return True
-        return not cut_vertices(self._adjacency, bytearray(b"\x01") * self.n,
-                                0)[0]
+        # The far crossings of darts 4c..4c+3 are the neighbors of c.
+        far = [y >> 2 for y in self._opposite]
+        nbrs = [far[x:x + 4] for x in range(0, len(far), 4)]
+        return not cut_vertices(nbrs, bytearray(b"\x01") * self.n, 0)[0]
 
     def __repr__(self):
         inner = ", ".join("X" + str(row) for row in self.crossings)
@@ -260,22 +246,6 @@ def cut_vertices(nbrs, alive, root: int) -> tuple[set[int], int]:
     if root_children > 1:
         out.add(root)
     return out, reached
-
-
-def articulation_points(verts: set[int], adj) -> tuple[set[int], int]:
-    """Cut vertices of the induced subgraph on verts, and its reach.
-
-    verts may hold any ints; adj maps each vertex to an iterable of
-    neighbors, which may lie outside verts.  The vertices are numbered
-    0..V-1 for one cut_vertices pass, O(V + E), so verts induces a
-    connected subgraph iff the second value equals len(verts); only then
-    is the first value the cut set of the whole subgraph.
-    """
-    ids = list(verts)
-    index = {v: i for i, v in enumerate(ids)}
-    nbrs = [[index[u] for u in adj[v] if u in index] for v in ids]
-    cut, reached = cut_vertices(nbrs, bytearray(b"\x01") * len(ids), 0)
-    return {ids[i] for i in cut}, reached
 
 
 class _Forest:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .cells import DualGraph
-from .diagram import _include_first_search, articulation_points, cut_vertices
+from .diagram import _include_first_search, cut_vertices
 from .errors import DiagramError
 
 _DISCONNECTED = "nsis search requires a connected graph"
@@ -21,27 +21,38 @@ _DISCONNECTED = "nsis search requires a connected graph"
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected graph with deduplicated adjacency and no self-loops."""
+    """Undirected graph with deduplicated adjacency and no self-loops.
+
+    The constructor checks the adjacency and keeps its index form, which
+    every connectivity question runs cut_vertices on: vertex _ids[i] is
+    i, in sorted id order, _index maps ids back, and _nbrs[i] lists the
+    indices of i's neighbors.
+    """
 
     vertices: tuple[int, ...]
     adjacency: dict[int, frozenset[int]]
     classes: tuple[frozenset[int], frozenset[int]] | None = None
 
     def __post_init__(self):
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
+        ids = tuple(sorted(self.vertices))
+        index = {v: i for i, v in enumerate(ids)}
+        if len(index) != len(ids):
             raise DiagramError("duplicate vertices")
         for v, nbrs in self.adjacency.items():
-            if v not in vs:
+            if v not in index:
                 raise DiagramError(f"adjacency lists unknown vertex {v}")
             if v in nbrs:
                 raise DiagramError(f"self-loop at {v}")
             for u in nbrs:
-                if u not in vs or v not in self.adjacency.get(u, ()):
+                if u not in index or v not in self.adjacency.get(u, ()):
                     raise DiagramError("adjacency is not symmetric")
-        for v in vs:
+        for v in ids:
             if v not in self.adjacency:
                 raise DiagramError(f"vertex {v} missing from adjacency")
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_nbrs", tuple(
+            tuple(index[u] for u in self.adjacency[v]) for v in ids))
 
     @classmethod
     def from_dual(cls, dual: DualGraph) -> "SimpleGraph":
@@ -52,9 +63,14 @@ class SimpleGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
+    def _spans(self, alive: bytearray, live: int) -> bool:
+        """Whether the live vertices, alive[i] nonzero for live of them,
+        induce a non-empty connected subgraph: one cut_vertices pass."""
+        root = alive.find(1)
+        return root >= 0 and cut_vertices(self._nbrs, alive, root)[1] == live
+
     def is_connected(self) -> bool:
-        return bool(self.vertices) and articulation_points(
-            set(self.vertices), self.adjacency)[1] == len(self.vertices)
+        return self._spans(bytearray(b"\x01") * len(self._ids), len(self._ids))
 
 
 @dataclass(frozen=True)
@@ -68,36 +84,32 @@ class NsisResult:
 def is_nsis(graph: SimpleGraph, subset) -> bool:
     """Independent, and removal leaves a non-empty connected rest."""
     chosen = frozenset(subset)
-    verts = set(graph.vertices)
-    if not chosen <= verts:
+    index = graph._index
+    if not chosen <= index.keys():
         return False
+    alive = bytearray(b"\x01") * len(index)
     for v in chosen:
         if graph.adjacency[v] & chosen:
             return False
-    rest = verts - chosen
-    return bool(rest) and \
-        articulation_points(rest, graph.adjacency)[1] == len(rest)
+        alive[index[v]] = 0
+    return graph._spans(alive, len(index) - len(chosen))
 
 
 def nsis_exact(graph: SimpleGraph, budget: int = 10_000_000) -> NsisResult:
     """Maximum NSIS by branch and bound.
 
-    _include_first_search over the vertices, renumbered 0..V-1 in id
-    order and tried by falling degree.  A vertex joins when the residual (the
-    vertices not chosen) stays connected without it, which valid sets
-    need all along the way; it then rules out its neighbors, which
-    keeps the set independent, and the residual's cut vertices, which
-    can never join.  Trying a vertex is one cut_vertices pass over the
-    residual, O(V + E) on neighbor tuples and a bytearray, whose reach
-    is the connectivity answer; one more pass on the whole graph checks
-    the input and gives the start cut.  Putting a vertex back costs
-    O(1).  Neither the cut set nor the connectivity answer depends on
-    the numbering, so the nodes visited do not either.
+    _include_first_search over the graph's index form, vertices tried by
+    falling degree.  A vertex joins when the residual (the vertices not
+    chosen) stays connected without it, which valid sets need all along the
+    way; it then rules out its neighbors, which keeps the set independent,
+    and the residual's cut vertices, which can never join.  Trying a vertex
+    is one cut_vertices pass over the residual, O(V + E) on neighbor tuples
+    and a bytearray, whose reach is the connectivity answer; one more pass
+    on the whole graph checks the input and gives the start cut.  Putting a
+    vertex back costs O(1).  Neither the cut set nor the connectivity answer
+    depends on the numbering, so the nodes visited do not either.
     """
-    adj = graph.adjacency
-    ids = sorted(graph.vertices)
-    index = {v: i for i, v in enumerate(ids)}
-    nbrs = [tuple(index[u] for u in adj[v]) for v in ids]
+    ids, nbrs = graph._ids, graph._nbrs
     residual = bytearray(b"\x01") * len(ids)
     start_cut, reached = cut_vertices(nbrs, residual, 0) if ids else ((), 0)
     if not ids or reached != len(ids):

@@ -47,8 +47,8 @@ def spanning_tree(cx: CellComplex, strategy: str = "bfs",
     """Edge set of a spanning tree of the 1-skeleton.
 
     Deterministic for a given (strategy, seed).  bfs and dfs explore
-    edges in id order from crossing 0; random shuffles the edge order
-    and runs a union-find sweep.
+    edges in id order from crossing 0 (a loop edge twice, harmlessly);
+    random shuffles the edge order and runs a union-find sweep.
     """
     d = cx.diagram
     if strategy == "random":
@@ -66,7 +66,7 @@ def spanning_tree(cx: CellComplex, strategy: str = "bfs",
     frontier = [0]
     while frontier:
         v = frontier.pop(0 if strategy == "bfs" else -1)
-        for e in d._incident[v]:
+        for e in sorted(d._edge_of_dart[4 * v:4 * v + 4]):
             a, b = d.edge_endpoints(e)
             w = b if a == v else a
             if not seen[w]:
@@ -240,7 +240,8 @@ def witness_pair(cx: CellComplex) -> Witness:
         raise DiagramError("witness search requires a reduced diagram")
     forest = _Forest(d.n)
     for c in range(d.n):
-        for ea, eb in itertools.combinations(d._incident[c], 2):
+        edges = sorted(d._edge_of_dart[4 * c:4 * c + 4])    # no loops
+        for ea, eb in itertools.combinations(edges, 2):
             if set(d.edge_endpoints(ea)) == set(d.edge_endpoints(eb)):
                 continue  # parallel pair cannot both sit in a tree
             for fa in cx.edge_sides(ea):

@@ -19,6 +19,9 @@ from threepage import (
     verify_binding,
 )
 
+from threepage import cli, pipeline
+from threepage.binding import OUTSIDE
+
 from conftest import HOPF, KINK, TREFOIL, TREFOIL_SWITCHED
 
 # Switched Hopf: both crossings become over-passes for one strand, so the
@@ -243,6 +246,26 @@ class TestRepair:
             (5, "outside", 4, 2, ()),
         ]
         assert verify_binding(fixed, d).ok
+
+    @pytest.mark.parametrize("repair_on", [True, False])
+    def test_lost_arc_is_a_structure_failure(self, monkeypatch, repair_on):
+        """A walk that lost an inside arc leaves an edge cut with one arc
+        end: repair leaves that cut alone, and verify_binding reports it
+        with repair on or off."""
+        walk = pipeline.boundary_sequence
+
+        def lossy(est, cx):
+            seq = walk(est, cx)
+            k = next(k for k, a in enumerate(seq.arcs) if a.type != OUTSIDE)
+            return dataclasses.replace(seq,
+                                       arcs=seq.arcs[:k] + seq.arcs[k + 1:])
+
+        monkeypatch.setattr(pipeline, "boundary_sequence", lossy)
+        row, severity = cli.analyze_entry(
+            "lossy", TREFOIL_SWITCHED, cli.RunConfig(repair=repair_on))
+        assert severity == cli.VERIFICATION and row["bound"] is None
+        assert row["failure"].startswith("verification: structure: "), \
+            row["failure"]
 
 
 class TestDegenerate:

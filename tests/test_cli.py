@@ -310,6 +310,49 @@ class TestSvgOutput:
         assert (d1 / "hopf.svg").read_bytes() == (d2 / "hopf.svg").read_bytes()
 
     @pytest.mark.parametrize("mode", ["render", "batch"])
+    def test_unwritable_svg_dir_keeps_the_rows(self, tmp_path, capsys, mode):
+        """--svg at a regular file, or render into a path through one: the
+        path goes to stderr, the rows are still printed, and exit is 2."""
+        path = write_entries(tmp_path, [f"trefoil: {TREFOIL}",
+                                        f"hopf: {HOPF}"])
+        blocker = tmp_path / "figs"
+        blocker.write_text("not a directory\n")
+        if mode == "render":
+            target = str(blocker / "sub")
+            args = ["render", path, target]
+        else:
+            target = str(blocker)
+            args = ["batch", path, "--svg", target]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.startswith("validation: cannot write SVG: ")
+        assert repr(target) in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
+        if mode == "render":
+            assert out == ""    # no figure was written
+        else:
+            _, plain, _ = run_cli(["batch", path], capsys)
+            assert out == plain
+            code, out, _ = run_cli(args + ["--format", "json"], capsys)
+            assert code == 2 and json.loads(out)["exit"] == 2
+
+    def test_unwritable_svg_file_keeps_the_other_figures(self, tmp_path,
+                                                         capsys):
+        path = write_entries(tmp_path, [f"trefoil: {TREFOIL}",
+                                        f"hopf: {HOPF}"])
+        outdir = tmp_path / "out"
+        (outdir / "hopf.svg").mkdir(parents=True)
+        code, out, err = run_cli(["render", path, str(outdir)], capsys)
+        assert code == 2
+        assert err.startswith("validation: cannot write SVG: ")
+        assert repr(str(outdir / "hopf.svg")) in err
+        assert "Traceback" not in err
+        assert [l.rsplit("/", 1)[-1] for l in out.splitlines()] == \
+            ["trefoil.svg"]
+        assert (outdir / "trefoil.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("mode", ["render", "batch"])
     def test_colliding_names_keep_the_first_figure(self, tmp_path, capsys,
                                                    mode):
         path = write_entries(tmp_path, [

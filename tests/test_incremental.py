@@ -5,13 +5,14 @@ chord-crossing scan, the one-pass repair and its union-find rewrite, the
 two explicit-stack exact searches, the union-find component counts, the
 heap-driven leafy NSIS growth, the edge-count feasibility test of
 complete_to_est, the union-find split of a diagram into pieces, the
-cut-vertex reach as the NSIS connectivity test, the edge-count tree
-check of _require_valid, and the flat-list parse, edge arrays, face
-trace, walk, verifiers and presentation each replaced a slower version
-that is still in the code or spelled out here; both must give the same
-answers on corpus diagrams and on generated braid closures, switched
-crossings and split unions included, and the verifiers the same
-offenders on broken inputs.
+cut-vertex reach on SimpleGraph's index form as the NSIS connectivity
+test, the bfs and dfs trees read off each crossing's darts, the
+edge-count tree check of _require_valid, and the flat-list parse, edge
+arrays, face trace, walk, verifiers and presentation each replaced a
+slower version that is still in the code or spelled out here; both must
+give the same answers on corpus diagrams and on generated braid
+closures, switched crossings, kinks and split unions included, and the
+verifiers the same offenders on broken inputs.
 """
 
 import dataclasses
@@ -29,8 +30,8 @@ from threepage.binding import (INSIDE_OVER, INSIDE_UNDER, KIND_EDGE_CUT,
                                chords_cross, crossing_pairs)
 from threepage.cells import (Subcomplex, complement_components,
                              subcomplex_components)
-from threepage.diagram import (PlaneDiagram, _Forest, articulation_points,
-                               crossing_of, dart_id, rotate)
+from threepage.diagram import (PlaneDiagram, _Forest, crossing_of,
+                               cut_vertices, dart_id, rotate)
 from threepage.errors import PDSyntaxError
 from threepage.nsis import NsisResult
 from threepage.presentation import Chord, PageReport, ThreePagePresentation
@@ -39,8 +40,9 @@ from threepage.spanning import (ExtendedSpanningTree, SearchResult,
                                  face_set_feasible)
 
 from conftest import (CORPUS_TEXTS, HOPF, KINK, TREFOIL, TWO_CLASPS,
-                      braid_closure_pd, disjoint_union, switch_crossing,
-                      switched_torus_pd, torus_pd, tree_subcomplex)
+                      braid_closure_pd, disjoint_union, pd_text,
+                      switch_crossing, switched_torus_pd, torus_pd,
+                      tree_subcomplex)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -76,6 +78,43 @@ def reference_witness(cx):
     return None
 
 
+def reference_spanning_tree(cx, strategy="bfs", seed=0):
+    """spanning_tree as it was, on PlaneDiagram._incident as it was: the
+    edges at each crossing in edge-id order, a loop edge once."""
+    d = cx.diagram
+    incident = [[] for _ in range(d.n)]
+    for e in range(d.edge_count):
+        a, b = d.edge_endpoints(e)
+        incident[a].append(e)
+        if b != a:
+            incident[b].append(e)
+    if strategy == "random":
+        order = list(range(d.edge_count))
+        random.Random(seed).shuffle(order)
+        forest = _Forest(d.n)
+        return frozenset(e for e in order
+                         if forest.union(*d.edge_endpoints(e)))
+
+    if strategy not in ("bfs", "dfs"):
+        raise tp.DiagramError(f"unknown spanning tree strategy: {strategy}")
+    seen = [False] * d.n
+    seen[0] = True
+    chosen = []
+    frontier = [0]
+    while frontier:
+        v = frontier.pop(0 if strategy == "bfs" else -1)
+        for e in incident[v]:
+            a, b = d.edge_endpoints(e)
+            w = b if a == v else a
+            if not seen[w]:
+                seen[w] = True
+                chosen.append(e)
+                frontier.append(w)
+    if len(chosen) != d.n - 1:
+        raise tp.InternalError("spanning tree construction missed vertices")
+    return frozenset(chosen)
+
+
 def reference_complete_to_est(faces, cx):
     """complete_to_est as it was: face_set_feasible, then bridging."""
     faces = frozenset(faces)
@@ -99,7 +138,10 @@ def reference_complete_to_est(faces, cx):
 
 def reference_component_sets(d):
     """PlaneDiagram._component_sets as it was: a graph search."""
-    adj = d._adjacency
+    adj = [[] for _ in range(d.n)]
+    for a, b in map(d.edge_endpoints, range(d.edge_count)):
+        adj[a].append(b)
+        adj[b].append(a)
     seen = [False] * d.n
     comps = []
     for start in range(d.n):
@@ -906,6 +948,30 @@ def split_closures(draw):
     return text
 
 
+def add_kink(text, label):
+    """text with a kink on the edge labelled label: a new crossing
+    X(label, loop, loop, tail), whose loop edge is a monogon, and the
+    edge's second end relabelled tail."""
+    rows = [list(row) for row in tp.parse_pd(text).crossings]
+    top = max(lab for row in rows for lab in row)
+    loop, tail = top + 1, top + 2
+    i, j = [(i, j) for i, row in enumerate(rows)
+            for j, lab in enumerate(row) if lab == label][1]
+    rows[i][j] = tail
+    rows.append([label, loop, loop, tail])
+    return pd_text(rows)
+
+
+@st.composite
+def kinked_closures(draw):
+    """Connected braid closures with up to three kinks added."""
+    text = draw(closures(max_n=14))
+    for _ in range(draw(st.integers(0, 3))):
+        labels = sorted(set(re.findall(r"[0-9]+", text)), key=int)
+        text = add_kink(text, int(draw(st.sampled_from(labels))))
+    return text
+
+
 FIXED = sorted(CORPUS_TEXTS.values()) + [
     KINK, HOPF, TWO_CLASPS, torus_pd(9),
     braid_closure_pd([1, 1, 2, 2, -1, 3, -2, 3], 4),
@@ -913,6 +979,7 @@ FIXED = sorted(CORPUS_TEXTS.values()) + [
     braid_closure_pd([1, 2, 3, 1, 2, 3, 1, 2, 3], 4),
     switch_crossing(braid_closure_pd([1, -2, 1, -2, 1, -2], 3), 2),
     disjoint_union(KINK, torus_pd(5)),
+    add_kink(add_kink(TREFOIL, 1), 1),
 ]
 FIXED_DIAGRAMS = [d for text in FIXED for d in components(text)]
 
@@ -934,6 +1001,28 @@ def check_witness(d):
             tp.witness_pair(cx)
     else:
         assert tp.witness_pair(cx) == want
+
+
+def check_spanning_trees(d, seeds):
+    cx = tp.CellComplex(d)
+    for strategy in ("bfs", "dfs", "random"):
+        for seed in seeds:
+            assert tp.spanning_tree(cx, strategy, seed) == \
+                reference_spanning_tree(cx, strategy, seed), (strategy, seed)
+
+
+def test_spanning_trees_match_reference_on_fixed_cases():
+    assert any(d.loop_edges() for d in FIXED_DIAGRAMS)
+    for d in FIXED_DIAGRAMS:
+        check_spanning_trees(d, range(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kinked_closures(), st.lists(st.integers(0, 2**16), min_size=1,
+                                   max_size=3))
+def test_spanning_trees_match_reference(text, seeds):
+    for d in components(text):
+        check_spanning_trees(d, seeds)
 
 
 @pytest.mark.parametrize("k", range(len(FIXED_DIAGRAMS)))
@@ -1164,15 +1253,24 @@ def test_leafy_matches_reference(text, seeds, rng):
 @settings(max_examples=150, deadline=None)
 @given(closures(max_n=12), st.data())
 def test_articulation_points_match_reference(text, data):
-    """On connected and disconnected induced subgraphs of the dual."""
-    cx = tp.CellComplex(components(text)[0])
-    adj = cx.dual_graph().adjacency
+    """cut_vertices on SimpleGraph's index form, is_connected and is_nsis,
+    on connected and disconnected induced subgraphs of the dual, its
+    vertices renamed in shuffled order."""
+    dual = tp.SimpleGraph.from_dual(
+        tp.CellComplex(components(text)[0]).dual_graph())
+    ids = data.draw(st.permutations(range(len(dual.vertices))))
+    graph = relabel(dual, {v: 3 * ids[v] + 1 for v in dual.vertices})
+    adj = graph.adjacency
     verts = data.draw(st.sets(st.sampled_from(sorted(adj)), min_size=1))
-    cut, reached = articulation_points(verts, adj)
+    alive = bytearray(len(adj))
+    for v in verts:
+        alive[graph._index[v]] = 1
+    root = graph._index[min(verts)]
+    cut, reached = cut_vertices(graph._nbrs, alive, root)
     assert (reached == len(verts)) == reference_connected(verts, adj)
     if reached == len(verts):
-        assert cut == reference_articulation_points(verts, adj)
-    graph = tp.SimpleGraph.from_dual(cx.dual_graph())
+        assert {graph._ids[i] for i in cut} == \
+            reference_articulation_points(verts, adj)
     assert graph.is_connected() == reference_connected(set(adj), adj)
     rest = set(adj) - verts
     independent = all(not adj[v] & verts for v in verts)
@@ -1426,7 +1524,7 @@ def test_exact_searches_make_one_pass_per_node(monkeypatch):
     assert feasible == []        # complete_to_est counts tree edges
     graph = tp.SimpleGraph.from_dual(cx.dual_graph())
     assert not hasattr(nsis, "_connected")
-    connected = counting(monkeypatch, nsis, "articulation_points")
+    connected = counting(monkeypatch, nsis.SimpleGraph, "is_connected")
     passes = counting(monkeypatch, nsis, "cut_vertices")
     res = tp.nsis_exact(graph)
     assert res.exact and res.nodes > 100

@@ -1,0 +1,63 @@
+"""The paper's identities between the face searches and the dual graph.
+
+Edge-disjoint faces are independent in the dual, and the complement of
+the extended spanning tree retracts onto the dual minus its faces, so a
+face set is feasible exactly when it is a non-separating independent set
+(NSIS) of the simple dual.  Hence the exact face search and the exact
+NSIS search agree whenever both finish, and greedy never beats them.
+"""
+
+import pytest
+
+import threepage as tp
+from threepage.spanning import face_set_feasible
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, settings = hypothesis.given, hypothesis.settings
+
+from test_incremental import (  # noqa: E402
+    FIXED_DIAGRAMS, ORDERS, components, split_closures)
+
+BUDGET = 2_000
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_closures(), st.data())
+def test_feasible_face_sets_are_the_dual_nsis(text, data):
+    for d in components(text):
+        cx = tp.CellComplex(d)
+        graph = tp.SimpleGraph.from_dual(cx.dual_graph())
+        faces = range(cx.face_count)
+        for _ in range(5):
+            chosen = data.draw(st.sets(st.sampled_from(faces)))
+            assert face_set_feasible(chosen, cx) == tp.is_nsis(graph, chosen)
+
+
+def check_searches_agree(d, seed):
+    """Whether both exact searches finished; where they did, their sizes
+    agree, and where the face search did, no greedy order beats it."""
+    cx = tp.CellComplex(d)
+    exact = tp.exact_max_faces(cx, budget=BUDGET)
+    if not exact.exact:
+        return False
+    for order in ORDERS:
+        greedy = tp.greedy_max_faces(cx, order=order, seed=seed)
+        assert len(greedy.faces) <= exact.m, order
+    nsis = tp.nsis_exact(tp.SimpleGraph.from_dual(cx.dual_graph()),
+                         budget=BUDGET)
+    if nsis.exact:
+        assert exact.m == nsis.size
+    return nsis.exact
+
+
+def test_exact_m_is_nsis_max_on_fixed_cases():
+    assert all(check_searches_agree(d, k)
+               for k, d in enumerate(FIXED_DIAGRAMS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_closures(), st.integers(0, 2**16))
+def test_exact_m_is_nsis_max_and_bounds_greedy(text, seed):
+    for d in components(text):
+        check_searches_agree(d, seed)

@@ -1,8 +1,8 @@
 """Structures computed once per diagram or cell complex.
 
-PlaneDiagram keeps its edge endpoints, crossing adjacency, split into
-connected pieces and is_reduced; CellComplex keeps its dual graph.
-After any mix of calls, each must equal what a fresh object computes
+PlaneDiagram keeps its edge endpoints, split into connected pieces and
+is_reduced; CellComplex keeps its dual graph, and SimpleGraph its index
+form.  After any mix of calls, each must equal what a fresh object computes
 and what a direct recomputation from the PD code gives, and one CLI row
 must build each of them once.
 """
@@ -10,7 +10,7 @@ must build each of them once.
 import pytest
 
 import threepage as tp
-from threepage import cells, cli
+from threepage import cells, cli, nsis
 from threepage.diagram import PlaneDiagram, crossing_of
 
 from conftest import (CORPUS_TEXTS, HOPF, KINK, TREFOIL, braid_closure_pd,
@@ -122,9 +122,15 @@ def test_kept_values_equal_fresh_ones(text):
 
 
 def test_connected_row_builds_each_structure_once(monkeypatch):
-    """One connected --exact --nsis row: one PlaneDiagram, one dual graph."""
-    built = {"PlaneDiagram": 0, "DualGraph": 0}
+    """One connected --exact --nsis row: one PlaneDiagram, one dual graph,
+    one indexed SimpleGraph."""
+    built = {"PlaneDiagram": 0, "DualGraph": 0, "SimpleGraph": 0}
     init, dual_graph = PlaneDiagram.__init__, cells.DualGraph
+    index = nsis.SimpleGraph.__post_init__
+
+    def counting_index(self):
+        built["SimpleGraph"] += 1
+        index(self)
 
     def counting_init(self, *args, **kwargs):
         built["PlaneDiagram"] += 1
@@ -136,9 +142,10 @@ def test_connected_row_builds_each_structure_once(monkeypatch):
 
     monkeypatch.setattr(PlaneDiagram, "__init__", counting_init)
     monkeypatch.setattr(cells, "DualGraph", counting_dual)
+    monkeypatch.setattr(nsis.SimpleGraph, "__post_init__", counting_index)
     config = cli.RunConfig(exact=True, nsis=True, budget=40)
     row, severity = cli.analyze_entry("granny", CORPUS_TEXTS["granny"],
                                       config)
     assert severity == cli.OK and row["components"] == 1
     assert row["nsis_max"] is not None and row["witness"] != "skipped"
-    assert built == {"PlaneDiagram": 1, "DualGraph": 1}
+    assert built == {"PlaneDiagram": 1, "DualGraph": 1, "SimpleGraph": 1}
