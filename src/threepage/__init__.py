@@ -14,7 +14,7 @@ search layers.
 from .binding import (ARC_TYPES, PAGE_BY_TYPE, Arc, ArcEnd, BindingPoint,
                       BindingReport, BindingSequence, boundary_sequence,
                       chords_cross, repair, verify_binding)
-from .cells import (CellComplex, DualGraph, Subcomplex, complement_components,
+from .cells import (CellComplex, Subcomplex, complement_components,
                     euler_characteristic, is_closed, is_contractible,
                     subcomplex_components)
 from .diagram import (PlaneDiagram, canonical_form, crossing_of, dart_id,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ARC_TYPES", "PAGE_BY_TYPE",
     "Arc", "ArcEnd", "BindingPoint", "BindingReport", "BindingSequence",
-    "CellComplex", "Certificate", "Chord", "DiagramError", "DualGraph",
+    "CellComplex", "Certificate", "Chord", "DiagramError",
     "ExtendedSpanningTree", "InternalError", "NsisResult", "OverlayResult",
     "PDSyntaxError", "PageReport", "PlaneDiagram", "RenderOptions",
     "RunConfig", "SearchResult", "SimpleGraph", "Subcomplex",

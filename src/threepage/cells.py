@@ -10,13 +10,13 @@ not describe a sphere embedding and the input is rejected.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
 from .diagram import PlaneDiagram, _Forest
 from .errors import DiagramError
+from .nsis import SimpleGraph
 
 
 class CellComplex:
@@ -77,9 +77,6 @@ class CellComplex:
     def face_edges(self, face: int) -> tuple[int, ...]:
         return self._face_edges[face]
 
-    def face_vertices(self, face: int) -> tuple[int, ...]:
-        return tuple(sorted({d >> 2 for d in self.faces[face]}))
-
     def face_size(self, face: int) -> int:
         """Boundary walk length in darts (counts repeated edges twice)."""
         return len(self.faces[face])
@@ -113,33 +110,25 @@ class CellComplex:
             raise DiagramError("dual graph is disconnected")
         return tuple(colors)
 
-    def dual_graph(self) -> "DualGraph":
+    def dual_graph(self) -> SimpleGraph:
+        """Faces as vertices, adjacent when they share a primal edge."""
         return self._dual
 
     @cached_property
-    def _dual(self) -> "DualGraph":
+    def _dual(self) -> SimpleGraph:
         colors = self.checkerboard()
         adj: dict[int, set[int]] = {f: set() for f in range(self.face_count)}
         for a, b in map(self.edge_sides, range(self.diagram.edge_count)):
             if a != b:
                 adj[a].add(b)
                 adj[b].add(a)
-        return DualGraph(
-            face_count=self.face_count,
+        return SimpleGraph(
+            vertices=tuple(range(self.face_count)),
             adjacency=MappingProxyType(
                 {f: frozenset(s) for f, s in adj.items()}),
             classes=(frozenset(f for f, c in enumerate(colors) if c == 0),
                      frozenset(f for f, c in enumerate(colors) if c == 1)),
         )
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """Faces as vertices, adjacent when they share a primal edge."""
-
-    face_count: int
-    adjacency: Mapping[int, frozenset[int]]  # read-only
-    classes: tuple[frozenset[int], frozenset[int]]
 
 
 @dataclass(frozen=True)

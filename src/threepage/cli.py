@@ -24,7 +24,7 @@ import sys
 
 from .diagram import PlaneDiagram, parse_pd
 from .errors import DiagramError, InternalError, PDSyntaxError
-from .nsis import SimpleGraph, nsis_exact, nsis_greedy_leafy, nsis_ratio_report
+from .nsis import nsis_exact, nsis_greedy_leafy, nsis_ratio_report
 from .pipeline import RunConfig, certify
 from .presentation import render_svg
 from .spanning import exact_max_faces, oracle_max_faces, witness_pair
@@ -111,7 +111,7 @@ def _component_report(comp: PlaneDiagram, config: RunConfig) -> dict:
     else:
         out["witness"] = "skipped"
     if config.nsis:
-        graph = SimpleGraph.from_dual(cx.dual_graph())
+        graph = cx.dual_graph()
         ex = nsis_exact(graph, budget=config.budget)
         out["nsis_max"] = ex.size
         out["nsis_greedy"] = len(nsis_greedy_leafy(graph, seed=config.seed))

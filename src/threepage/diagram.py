@@ -26,6 +26,7 @@ _PD_RE = re.compile(r"PD\s*\[(.*)\]\s*$", re.DOTALL)
 _LABEL = r"\s*0*[1-9][0-9]*\s*"
 _ROW_RE = re.compile(rf"{_LABEL}(?:,{_LABEL})*")
 _DIGITS_RE = re.compile(r"[0-9]+")
+_END_SEPARATORS_RE = re.compile(r"^[\s,]+|[\s,]+$")
 # A body of well-formed four-label entries only, read in one match.
 _BODY_RE = re.compile(
     rf"(?:[\s,]*X\s*[(\[]{_LABEL},{_LABEL},{_LABEL},{_LABEL}[)\]])+[\s,]*")
@@ -404,8 +405,9 @@ def parse_pd(text: str) -> PlaneDiagram:
         if not _ROW_RE.fullmatch(entry.group(1)):
             raise PDSyntaxError(f"bad crossing entry: {entry.group(0)!r}")
         rows.append(tuple(map(int, _DIGITS_RE.findall(entry.group(1)))))
-    leftover = _ENTRY_RE.sub("", body).replace(",", "").strip()
-    if leftover or not rows:
+    leftover = _ENTRY_RE.sub("", body)
+    if leftover.replace(",", "").strip() or not rows:
+        leftover = _END_SEPARATORS_RE.sub("", leftover)
         raise PDSyntaxError(f"unparsed content in PD expression: {leftover[:40]!r}")
     return PlaneDiagram(rows)
 

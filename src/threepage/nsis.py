@@ -10,9 +10,9 @@ spanning trees, and tabulates the observed size ratios.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .cells import DualGraph
 from .diagram import _include_first_search, cut_vertices
 from .errors import DiagramError
 
@@ -30,7 +30,7 @@ class SimpleGraph:
     """
 
     vertices: tuple[int, ...]
-    adjacency: dict[int, frozenset[int]]
+    adjacency: Mapping[int, frozenset[int]]
     classes: tuple[frozenset[int], frozenset[int]] | None = None
 
     def __post_init__(self):
@@ -54,11 +54,10 @@ class SimpleGraph:
         object.__setattr__(self, "_nbrs", tuple(
             tuple(index[u] for u in self.adjacency[v]) for v in ids))
 
-    @classmethod
-    def from_dual(cls, dual: DualGraph) -> "SimpleGraph":
-        return cls(vertices=tuple(range(dual.face_count)),
-                   adjacency=dict(dual.adjacency),
-                   classes=dual.classes)
+    @staticmethod
+    def from_dual(dual: "SimpleGraph") -> "SimpleGraph":
+        """CellComplex.dual_graph() is already a SimpleGraph: returned as is."""
+        return dual
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

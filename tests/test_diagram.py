@@ -37,6 +37,16 @@ def test_parse_rejects(bad):
         tp.parse_pd(bad)
 
 
+@pytest.mark.parametrize("bad, quoted", [
+    ("PD[X(1,2,3,4]", "'X(1,2,3,4'"),                  # unclosed entry
+    ("PD[Y(1,3,2,4), X(3,1,4,2)]", "'Y(1,3,2,4)'"),    # unknown entry
+])
+def test_parse_quotes_leftover_as_written(bad, quoted):
+    with pytest.raises(tp.PDSyntaxError) as err:
+        tp.parse_pd(bad)
+    assert str(err.value) == f"unparsed content in PD expression: {quoted}"
+
+
 def test_dart_arithmetic():
     assert [rotate(dart_id(1, s)) for s in range(4)] == [5, 6, 7, 4]
     assert [slot_of(dart_id(2, s)) for s in range(4)] == [0, 1, 2, 3]

@@ -1,7 +1,7 @@
 """Structures computed once per diagram or cell complex.
 
 PlaneDiagram keeps its edge endpoints, split into connected pieces and
-is_reduced; CellComplex keeps its dual graph, and SimpleGraph its index
+is_reduced; CellComplex keeps its dual graph, a SimpleGraph with its index
 form.  After any mix of calls, each must equal what a fresh object computes
 and what a direct recomputation from the PD code gives, and one CLI row
 must build each of them once.
@@ -10,7 +10,7 @@ must build each of them once.
 import pytest
 
 import threepage as tp
-from threepage import cells, cli, nsis
+from threepage import cli, nsis
 from threepage.diagram import PlaneDiagram, crossing_of
 
 from conftest import (CORPUS_TEXTS, HOPF, KINK, TREFOIL, braid_closure_pd,
@@ -75,6 +75,12 @@ def check_piece(c, cx, fresh):
     assert cx.dual_graph() is dual
     assert dual == tp.CellComplex(fresh).dual_graph()
     assert dict(dual.adjacency) == reference_dual_adjacency(cx)
+    assert dual.vertices == tuple(range(cx.face_count))
+    colors = cx.checkerboard()
+    assert dual.classes == tuple(
+        frozenset(f for f, color in enumerate(colors) if color == k)
+        for k in (0, 1))
+    assert tp.SimpleGraph.from_dual(dual) is dual
     with pytest.raises(TypeError):
         dual.adjacency[0] = frozenset()
     full = tp.Subcomplex(vertices=frozenset(range(cx.n)),
@@ -122,11 +128,10 @@ def test_kept_values_equal_fresh_ones(text):
 
 
 def test_connected_row_builds_each_structure_once(monkeypatch):
-    """One connected --exact --nsis row: one PlaneDiagram, one dual graph,
-    one indexed SimpleGraph."""
-    built = {"PlaneDiagram": 0, "DualGraph": 0, "SimpleGraph": 0}
-    init, dual_graph = PlaneDiagram.__init__, cells.DualGraph
-    index = nsis.SimpleGraph.__post_init__
+    """One connected --exact --nsis row: one PlaneDiagram and one dual
+    graph, an indexed SimpleGraph built once and never copied."""
+    built = {"PlaneDiagram": 0, "SimpleGraph": 0}
+    init, index = PlaneDiagram.__init__, nsis.SimpleGraph.__post_init__
 
     def counting_index(self):
         built["SimpleGraph"] += 1
@@ -136,16 +141,11 @@ def test_connected_row_builds_each_structure_once(monkeypatch):
         built["PlaneDiagram"] += 1
         init(self, *args, **kwargs)
 
-    def counting_dual(*args, **kwargs):
-        built["DualGraph"] += 1
-        return dual_graph(*args, **kwargs)
-
     monkeypatch.setattr(PlaneDiagram, "__init__", counting_init)
-    monkeypatch.setattr(cells, "DualGraph", counting_dual)
     monkeypatch.setattr(nsis.SimpleGraph, "__post_init__", counting_index)
     config = cli.RunConfig(exact=True, nsis=True, budget=40)
     row, severity = cli.analyze_entry("granny", CORPUS_TEXTS["granny"],
                                       config)
     assert severity == cli.OK and row["components"] == 1
     assert row["nsis_max"] is not None and row["witness"] != "skipped"
-    assert built == {"PlaneDiagram": 1, "DualGraph": 1, "SimpleGraph": 1}
+    assert built == {"PlaneDiagram": 1, "SimpleGraph": 1}
