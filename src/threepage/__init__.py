@@ -23,7 +23,7 @@ from .errors import DiagramError, InternalError, PDSyntaxError
 from .nsis import (NsisResult, SimpleGraph, is_nsis, nsis_exact,
                    nsis_greedy_leafy, nsis_ratio_report)
 from .pipeline import Certificate, RunConfig, certify
-from .presentation import (Chord, OverlayResult, PageReport, RenderOptions,
+from .presentation import (Chord, OverlayResult, PageReport,
                            ThreePagePresentation, interleaving_pairs,
                            overlay_reconstruct, render_svg, to_presentation,
                            verify_pages)
@@ -39,9 +39,9 @@ __all__ = [
     "Arc", "ArcEnd", "BindingPoint", "BindingReport", "BindingSequence",
     "CellComplex", "Certificate", "Chord", "DiagramError",
     "ExtendedSpanningTree", "InternalError", "NsisResult", "OverlayResult",
-    "PDSyntaxError", "PageReport", "PlaneDiagram", "RenderOptions",
-    "RunConfig", "SearchResult", "SimpleGraph", "Subcomplex",
-    "ThreePagePresentation", "Witness",
+    "PDSyntaxError", "PageReport", "PlaneDiagram", "RunConfig",
+    "SearchResult", "SimpleGraph", "Subcomplex", "ThreePagePresentation",
+    "Witness",
     "boundary_sequence", "canonical_form", "certify", "chords_cross",
     "complement_components", "complete_to_est", "crossing_of", "dart_id",
     "euler_characteristic", "exact_max_faces", "face_set_feasible",

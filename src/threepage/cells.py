@@ -86,48 +86,42 @@ class CellComplex:
         d1, d2 = self.diagram.edge_darts[edge]
         return self._face_of_dart[d1], self._face_of_dart[d2]
 
-    def checkerboard(self) -> tuple[int, ...]:
-        """Proper 2-coloring of the faces, color 0 on face 0.
+    def dual_graph(self) -> SimpleGraph:
+        """Faces as vertices, adjacent when they share a primal edge.
 
-        Exists for every diagram of a link: the underlying graph is
+        Its classes are the checkerboard colouring, face 0 in classes[0].
+        It exists for every diagram of a link: the underlying graph is
         four-valent, hence Eulerian, hence its dual is bipartite.
         """
-        colors = [-1] * self.face_count
-        colors[0] = 0
-        queue = [0]
-        while queue:
-            f = queue.pop()
-            for e in self._face_edges[f]:
-                a, b = self.edge_sides(e)
-                g = b if a == f else a
-                if colors[g] < 0:
-                    colors[g] = 1 - colors[f]
-                    queue.append(g)
-                elif colors[g] == colors[f]:
-                    raise DiagramError("checkerboard coloring failed; "
-                                       "dual graph is not bipartite")
-        if min(colors) < 0:
-            raise DiagramError("dual graph is disconnected")
-        return tuple(colors)
-
-    def dual_graph(self) -> SimpleGraph:
-        """Faces as vertices, adjacent when they share a primal edge."""
         return self._dual
 
     @cached_property
     def _dual(self) -> SimpleGraph:
-        colors = self.checkerboard()
         adj: dict[int, set[int]] = {f: set() for f in range(self.face_count)}
         for a, b in map(self.edge_sides, range(self.diagram.edge_count)):
             if a != b:
                 adj[a].add(b)
                 adj[b].add(a)
+        colors = [-1] * self.face_count
+        colors[0] = 0
+        stack = [0]
+        while stack:
+            f = stack.pop()
+            for g in adj[f]:
+                if colors[g] < 0:
+                    colors[g] = 1 - colors[f]
+                    stack.append(g)
+                elif colors[g] == colors[f]:
+                    raise DiagramError("checkerboard coloring failed; "
+                                       "dual graph is not bipartite")
+        if min(colors) < 0:
+            raise DiagramError("dual graph is disconnected")
         return SimpleGraph(
             vertices=tuple(range(self.face_count)),
             adjacency=MappingProxyType(
                 {f: frozenset(s) for f, s in adj.items()}),
-            classes=(frozenset(f for f, c in enumerate(colors) if c == 0),
-                     frozenset(f for f, c in enumerate(colors) if c == 1)),
+            classes=tuple(frozenset(f for f, c in enumerate(colors) if c == k)
+                          for k in (0, 1)),
         )
 
 

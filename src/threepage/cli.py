@@ -101,13 +101,13 @@ def _component_report(comp: PlaneDiagram, config: RunConfig) -> dict:
             out["oracle_m"] = None
             notes.append("oracle skipped: n>6")
     if comp.n >= 3 and out["reduced"]:
-        try:
-            w = witness_pair(cx)
-            out["witness"] = f"e{w.edge_a}+e{w.edge_b}:f{w.face_a}+f{w.face_b}"
-        except InternalError:
+        w = witness_pair(cx)
+        if w is None:
             out["witness"] = "none"
             notes.append("witness: no feasible face pair at a shared "
                          "crossing; bound unaffected")
+        else:
+            out["witness"] = f"e{w.edge_a}+e{w.edge_b}:f{w.face_a}+f{w.face_b}"
     else:
         out["witness"] = "skipped"
     if config.nsis:
@@ -163,7 +163,10 @@ def analyze_entry(name: str, body: str, config: RunConfig) -> tuple[dict, int]:
     row["components"] = len(parts)
     row["reduced"] = all(p["reduced"] for p in parts)
     row["alternating"] = all(p["alternating"] for p in parts)
-    row["m_mode"] = parts[0]["m_mode"]
+    # One component that hit the budget makes the summed m a lower bound.
+    modes = [p["m_mode"] for p in parts]
+    row["m_mode"] = "exact(budget-hit)" if "exact(budget-hit)" in modes \
+        else modes[0]
     for p in parts:
         row["notes"].extend(p["notes"])
     if len(parts) > 1:

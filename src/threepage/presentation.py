@@ -277,12 +277,8 @@ def overlay_reconstruct(pres: ThreePagePresentation) -> OverlayResult:
     return OverlayResult(supported=True, pd_text=text, diagram=diagram)
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    size: int = 480
-    labels: bool = True
-    stroke: float = 2.0
-
+_SVG_SIZE = 480
+_SVG_STROKE = 2.0
 
 _SVG_STYLE = """\
     circle.binding { fill: none; stroke: #333; }
@@ -295,8 +291,7 @@ _SVG_STYLE = """\
 """
 
 
-def render_svg(pres: ThreePagePresentation,
-               options: RenderOptions = RenderOptions()) -> str:
+def render_svg(pres: ThreePagePresentation) -> str:
     """Deterministic SVG picture of the presentation.
 
     Points sit equally spaced clockwise from the top.  Pages 1 and 2 are
@@ -304,7 +299,7 @@ def render_svg(pres: ThreePagePresentation,
     crossings); page 3 bulges outside the circle.  Equal input gives
     byte-identical output.
     """
-    size = options.size
+    size = _SVG_SIZE
     center = size / 2.0
     radius = 0.30 * size
     count = len(pres.points)
@@ -321,7 +316,7 @@ def render_svg(pres: ThreePagePresentation,
         f'height="{size}" viewBox="0 0 {size} {size}">',
         f"  <style>\n{_SVG_STYLE}  </style>",
         f'  <circle class="binding" cx="{fmt(center)}" cy="{fmt(center)}" '
-        f'r="{fmt(radius)}" stroke-width="{fmt(options.stroke)}"/>',
+        f'r="{fmt(radius)}" stroke-width="{fmt(_SVG_STROKE)}"/>',
     ]
 
     def line(ch: Chord) -> str:
@@ -329,7 +324,7 @@ def render_svg(pres: ThreePagePresentation,
         x2, y2 = xy(pres.position(ch.b), radius)
         return (f'  <line class="p{ch.page}" x1="{fmt(x1)}" y1="{fmt(y1)}" '
                 f'x2="{fmt(x2)}" y2="{fmt(y2)}" '
-                f'stroke-width="{fmt(options.stroke)}"/>')
+                f'stroke-width="{fmt(_SVG_STROKE)}"/>')
 
     def outer_path(ch: Chord) -> str:
         pa, pb = pres.position(ch.a), pres.position(ch.b)
@@ -347,7 +342,7 @@ def render_svg(pres: ThreePagePresentation,
         cxp, cyp = xy(mid, bulge)
         return (f'  <path class="p3" d="M {fmt(x1)} {fmt(y1)} '
                 f'Q {fmt(cxp)} {fmt(cyp)} {fmt(x2)} {fmt(y2)}" '
-                f'stroke-width="{fmt(options.stroke)}"/>')
+                f'stroke-width="{fmt(_SVG_STROKE)}"/>')
 
     for page, draw in ((3, outer_path), (1, line), (2, line)):
         for ch in pres.chords:
@@ -357,10 +352,9 @@ def render_svg(pres: ThreePagePresentation,
     for i, pid in enumerate(pres.points):
         x, y = xy(i, radius)
         parts.append(f'  <circle class="pt" cx="{fmt(x)}" cy="{fmt(y)}" '
-                     f'r="{fmt(max(2.0, options.stroke * 1.4))}"/>')
-        if options.labels:
-            lx, ly = xy(i, radius + 0.055 * size)
-            parts.append(f'  <text x="{fmt(lx)}" y="{fmt(ly)}">{pid}</text>')
+                     f'r="{fmt(max(2.0, _SVG_STROKE * 1.4))}"/>')
+        lx, ly = xy(i, radius + 0.055 * size)
+        parts.append(f'  <text x="{fmt(lx)}" y="{fmt(ly)}">{pid}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

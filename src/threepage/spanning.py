@@ -104,8 +104,7 @@ def face_set_feasible(faces, cx: CellComplex) -> bool:
     bridging edges only merge components, they cannot kill homology.
     The subcomplex-enumeration oracle validates this criterion.  No
     search calls this function: it rebuilds every component in O(n), and
-    it is the test oracle for _Forest.add_face, which the searches use,
-    and for the edge-count test of complete_to_est.
+    it is the test oracle for _Forest.add_face, which the searches use.
     """
     faces = frozenset(faces)
     if not _pairwise_edge_disjoint(faces, cx):
@@ -119,24 +118,27 @@ def face_set_feasible(faces, cx: CellComplex) -> bool:
 def complete_to_est(faces, cx: CellComplex) -> ExtendedSpanningTree:
     """Bridge a face set's closure into one tree-like Y, or reject the set.
 
-    Each of the closure's p pieces is a proper subcomplex of the sphere,
-    so chi <= 1, and bridging adds p - 1 edges.  So every piece has
-    chi = 1, the face_set_feasible test, exactly when Y gets the forced
-    n - 1 + |faces| edges; the faces must also be pairwise edge-disjoint.
+    Feasibility is _Forest.add_face's test, face by face; it is
+    hereditary, so the order of the faces does not matter.
     """
     faces = frozenset(faces)
-    boundaries = list(map(cx.face_edges, faces))
-    edges = set().union(*boundaries)
-    # The faces are pairwise edge-disjoint iff no boundary edge repeats.
-    disjoint = sum(map(len, boundaries)) == len(edges)
-    d = cx.diagram
     forest = _Forest(cx.n)
-    forest.join(map(d.edge_endpoints, edges))
-    spare = [e for e in range(d.edge_count) if e not in edges]
-    edges.update(spare[k] for k in forest.join(map(d.edge_endpoints, spare)))
-    if len(edges) != cx.n - 1 + len(faces) or not disjoint:
+    if not all(forest.add_face(f, cx) for f in faces):
         raise DiagramError("face set is not feasible")
-    return ExtendedSpanningTree(edges=frozenset(edges), faces=faces)
+    return _bridge(forest, faces, cx)
+
+
+def _bridge(forest: _Forest, faces, cx: CellComplex) -> ExtendedSpanningTree:
+    """Y from a forest that holds exactly these faces: their edges plus,
+    in edge id order, each spare edge that joins two of its components.
+    add_face merged each face's boundary crossings, as joining its edges
+    would, so the bridges depend on the faces alone."""
+    d = cx.diagram
+    spare = [e for e in range(d.edge_count) if e not in forest.used]
+    bridges = forest.join(map(d.edge_endpoints, spare))
+    return ExtendedSpanningTree(
+        edges=frozenset(forest.used).union([spare[k] for k in bridges]),
+        faces=frozenset(faces))
 
 
 def _face_order(cx: CellComplex, order: str, seed: int) -> list[int]:
@@ -160,12 +162,12 @@ def greedy_max_faces(cx: CellComplex, order: str = "by-size",
 
     Each candidate face is tested incrementally by _Forest.add_face in
     O(|f| log n), so with the face ordering the search is O(n log n);
-    complete_to_est then bridges the result in O(n log n).
+    _bridge then completes the same forest in O(n log n).
     """
     forest = _Forest(cx.n)
     chosen = [f for f in _face_order(cx, order, seed)
               if forest.add_face(f, cx)]
-    return complete_to_est(chosen, cx)
+    return _bridge(forest, chosen, cx)
 
 
 def exact_max_faces(cx: CellComplex, budget: int = 10_000_000) -> SearchResult:
@@ -219,14 +221,15 @@ def oracle_max_faces(cx: CellComplex) -> int:
     raise InternalError("enumeration found no subcomplex at all")
 
 
-def witness_pair(cx: CellComplex) -> Witness:
+def witness_pair(cx: CellComplex) -> Witness | None:
     """A feasible two-face certificate around a length-two tree path.
 
-    For a reduced connected diagram with n >= 3 there are two edges
-    sharing a crossing, one face incident to each, such that the two
-    faces share no edge and their face set is feasible.  The returned
-    edges are part of a spanning tree by construction (two distinct
-    non-loop, non-parallel adjacent edges always extend to one).
+    In a reduced connected diagram with n >= 3, two edges sharing a
+    crossing and one face incident to each, such that the two faces
+    form a feasible face set; None if there are none, though a feasible
+    pair may sit elsewhere.  The edges are part of a spanning tree by
+    construction (two distinct non-loop, non-parallel adjacent edges
+    always extend to one).
 
     Each (fa, fb) pair is tested with _Forest.add_face on one forest,
     which undo() empties again after a failed pair, in O((|fa| + |fb|)
@@ -252,7 +255,4 @@ def witness_pair(cx: CellComplex) -> Witness:
                         return Witness(edge_a=ea, edge_b=eb,
                                        face_a=fa, face_b=fb)
                     forest.undo()
-    raise InternalError(
-        "no feasible face pair sits on two edges sharing a crossing; "
-        "the length-two-path argument does not apply to this diagram "
-        "(a feasible pair may still exist away from any shared crossing)")
+    return None

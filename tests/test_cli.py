@@ -11,6 +11,7 @@ from threepage.cli import CSV_COLUMNS, main
 
 from conftest import (
     CORPUS_PATH,
+    CORPUS_TEXTS,
     FIGURE_EIGHT,
     HOPF,
     NON_SPHERE,
@@ -199,6 +200,17 @@ class TestBounds:
         assert row["components"] == "2"
         assert int(row["bound"]) == 14
         assert "split" in row["notes"]
+
+    @pytest.mark.parametrize("granny_first", [False, True])
+    def test_split_row_is_budget_hit_if_any_component_is(self, granny_first):
+        """The trefoil's search finishes and the granny's hits the budget,
+        so the summed m is only a lower bound, in either order."""
+        parts = (CORPUS_TEXTS["granny"], TREFOIL)
+        body = disjoint_union(*(parts if granny_first else parts[::-1]))
+        row, severity = cli.analyze_entry(
+            "split", body, cli.RunConfig(exact=True, nsis=True, budget=20))
+        assert severity == cli.OK and row["components"] == 2
+        assert row["m_mode"] == "exact(budget-hit)"
 
     def test_empty_code_is_one_arc(self, tmp_path, capsys):
         path = write_entries(tmp_path, ["unknot: PD[]"])

@@ -993,12 +993,7 @@ def check_witness(d):
     if d.n < 3 or not d.is_reduced():
         return
     cx = tp.CellComplex(d)
-    want = reference_witness(cx)
-    if want is None:
-        with pytest.raises(tp.InternalError):
-            tp.witness_pair(cx)
-    else:
-        assert tp.witness_pair(cx) == want
+    assert tp.witness_pair(cx) == reference_witness(cx)
 
 
 def check_spanning_trees(d, seeds):
@@ -1503,12 +1498,23 @@ def test_witness_pair_builds_one_forest(monkeypatch):
     calls = 0
     for d in FIXED_DIAGRAMS:
         if d.n >= 3 and d.is_reduced():
-            try:
-                tp.witness_pair(tp.CellComplex(d))
-            except tp.InternalError:
-                pass    # no pair found: every pair was tried and undone
+            # None when no pair is found: every pair was tried and undone
+            tp.witness_pair(tp.CellComplex(d))
             calls += 1
     assert calls > 0 and len(built) == calls
+
+
+def test_greedy_builds_one_forest(monkeypatch):
+    """The forest greedy searched with is the one its tree is bridged on,
+    and the tree is the one complete_to_est builds from its faces."""
+    built = counting(monkeypatch, spanning, "_Forest")
+    for d in FIXED_DIAGRAMS:
+        cx = tp.CellComplex(d)
+        for order in ORDERS:
+            built.clear()
+            est = tp.greedy_max_faces(cx, order=order)
+            assert len(built) == 1, order
+            assert est == tp.complete_to_est(est.faces, cx), order
 
 
 def test_exact_searches_make_one_pass_per_node(monkeypatch):
@@ -1519,7 +1525,7 @@ def test_exact_searches_make_one_pass_per_node(monkeypatch):
     feasible = counting(monkeypatch, spanning, "face_set_feasible")
     res = tp.exact_max_faces(cx)
     assert res.exact and res.nodes > 100
-    assert feasible == []        # complete_to_est counts tree edges
+    assert feasible == []        # complete_to_est runs add_face
     graph = tp.SimpleGraph.from_dual(cx.dual_graph())
     assert not hasattr(nsis, "_connected")
     connected = counting(monkeypatch, nsis.SimpleGraph, "is_connected")

@@ -31,7 +31,14 @@ def test_feasible_face_sets_are_the_dual_nsis(text, data):
         faces = range(cx.face_count)
         for _ in range(5):
             chosen = data.draw(st.sets(st.sampled_from(faces)))
-            assert face_set_feasible(chosen, cx) == tp.is_nsis(graph, chosen)
+            feasible = face_set_feasible(chosen, cx)
+            assert feasible == tp.is_nsis(graph, chosen)
+            try:
+                tp.complete_to_est(chosen, cx)
+            except tp.DiagramError:
+                assert not feasible, chosen
+            else:
+                assert feasible, chosen
 
 
 def check_searches_agree(d, seed):

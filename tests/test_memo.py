@@ -76,10 +76,11 @@ def check_piece(c, cx, fresh):
     assert dual == tp.CellComplex(fresh).dual_graph()
     assert dict(dual.adjacency) == reference_dual_adjacency(cx)
     assert dual.vertices == tuple(range(cx.face_count))
-    colors = cx.checkerboard()
-    assert dual.classes == tuple(
-        frozenset(f for f, color in enumerate(colors) if color == k)
-        for k in (0, 1))
+    white, black = dual.classes
+    assert 0 in white
+    for e in range(c.edge_count):
+        a, b = cx.edge_sides(e)
+        assert (a in white) != (b in white) and (a in black) != (b in black)
     assert tp.SimpleGraph.from_dual(dual) is dual
     with pytest.raises(TypeError):
         dual.adjacency[0] = frozenset()

@@ -7,7 +7,6 @@ import pytest
 from threepage import (
     CellComplex,
     ExtendedSpanningTree,
-    RenderOptions,
     ThreePagePresentation,
     boundary_sequence,
     canonical_form,
@@ -199,9 +198,6 @@ class TestRenderSvg:
     def test_options(self, hopf_pres):
         _, pres = hopf_pres
         assert 'width="480"' in render_svg(pres)
-        assert 'width="960"' in render_svg(pres, RenderOptions(size=960))
-        no_labels = render_svg(pres, RenderOptions(labels=False))
-        assert no_labels.count("<text") == 0
 
     def test_empty_is_bare_circle(self):
         svg = render_svg(EMPTY)
