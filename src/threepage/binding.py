@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .cells import CellComplex
 from .diagram import PlaneDiagram, _Forest
 from .errors import DiagramError, InternalError
-from .spanning import ExtendedSpanningTree
+from .spanning import ExtendedSpanningTree, _face_forest
 
 OUTSIDE = "outside"
 INSIDE_UNDER = "inside-under"
@@ -159,25 +159,22 @@ def same_page_crossings(spans, pages) -> list[tuple[int, int]]:
 def _require_valid(est: ExtendedSpanningTree, cx: CellComplex) -> None:
     """Raise DiagramError unless est is an extended spanning tree of cx.
 
-    Once the faces are edge-disjoint and bounded by tree edges, Y = (all
-    crossings, edges, faces) is closed, so it is contractible iff chi = 1
-    and it is connected: n - 1 + |F| edges that join all n crossings.
+    The faces replay through _Forest.add_face, the searches' rule, so
+    each component of their closure has chi = 1.  Y = (all crossings,
+    edges, faces) is then contractible iff every other tree edge joins
+    two components and n - 1 + |F| edges leave one.
     """
     d = cx.diagram
     if est.edges and not 0 <= min(est.edges) <= max(est.edges) < d.edge_count:
         raise DiagramError("extended spanning tree has an unknown edge id")
     if est.faces and not 0 <= min(est.faces) <= max(est.faces) < cx.face_count:
         raise DiagramError("extended spanning tree has an unknown face id")
-    taken: set[int] = set()
-    for f in sorted(est.faces):
-        fe = set(cx.face_edges(f))
-        if fe & taken:
-            raise DiagramError("extended spanning tree faces share an edge")
-        if not fe <= est.edges:
-            raise DiagramError("face boundary leaves the tree edge set")
-        taken |= fe
-    merges = _Forest(d.n).join(map(d._edge_ends.__getitem__, est.edges))
-    if len(merges) != d.n - 1 or len(est.edges) != d.n - 1 + len(est.faces):
+    forest = _face_forest(est.faces, cx)
+    if not forest.used <= est.edges:
+        raise DiagramError("face boundary leaves the tree edge set")
+    rest = est.edges - forest.used
+    merges = forest.join(map(d._edge_ends.__getitem__, rest))
+    if len(merges) != len(rest) or len(est.edges) != d.n - 1 + len(est.faces):
         raise DiagramError("extended spanning tree is not contractible")
 
 
@@ -197,9 +194,7 @@ def boundary_sequence(est: ExtendedSpanningTree,
     points: list[BindingPoint] = []
     at = [-1] * len(edge_of)    # the binding point at each dart's cut
 
-    if not tree:
-        if d.n != 1:
-            raise InternalError("empty tree on a multi-crossing diagram")
+    if not tree:    # n - 1 + m = 0 edges: one crossing, no faces
         for x in range(4):
             at[x] = x
             points.append(BindingPoint(x, edge_of[x], KIND_NEAR, x))
@@ -251,14 +246,10 @@ def boundary_sequence(est: ExtendedSpanningTree,
                              new(ArcEnd, (at[d2], None))),
                             (), (), e))
 
-    seq = BindingSequence(points=tuple(points), arcs=tuple(arcs),
-                          n=d.n, m=len(est.faces), repaired=False,
-                          tree_edges=frozenset(tree),
-                          tree_faces=frozenset(est.faces))
-    if len(seq.points) != 3 * seq.n + 1 - seq.m:
-        raise InternalError(
-            f"expected {3 * seq.n + 1 - seq.m} cuts, emitted {len(seq.points)}")
-    return seq
+    return BindingSequence(points=tuple(points), arcs=tuple(arcs),
+                           n=d.n, m=len(est.faces), repaired=False,
+                           tree_edges=frozenset(tree),
+                           tree_faces=frozenset(est.faces))
 
 
 def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:

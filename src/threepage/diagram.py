@@ -26,7 +26,7 @@ _PD_RE = re.compile(r"PD\s*\[(.*)\]\s*$", re.DOTALL)
 _LABEL = r"\s*0*[1-9][0-9]*\s*"
 _ROW_RE = re.compile(rf"{_LABEL}(?:,{_LABEL})*")
 _DIGITS_RE = re.compile(r"[0-9]+")
-_END_SEPARATORS_RE = re.compile(r"^[\s,]+|[\s,]+$")
+_SEPARATORS_RE = re.compile(r"[\s,]*")
 # A body of well-formed four-label entries only, read in one match.
 _BODY_RE = re.compile(
     rf"(?:[\s,]*X\s*[(\[]{_LABEL},{_LABEL},{_LABEL},{_LABEL}[)\]])+[\s,]*")
@@ -385,8 +385,9 @@ def parse_pd(text: str) -> PlaneDiagram:
     """Read a PD expression such as ``PD[X(1,4,2,5), X(3,6,4,1), X(5,2,6,3)]``.
 
     Both ``X(...)`` and ``X[...]`` entry brackets are accepted.  Labels are
-    positive integers in ASCII digits; each must occur exactly twice.  ``PD[]`` denotes the
-    empty diagram.  Empty or non-PD input is a syntax error.
+    positive integers in ASCII digits, no longer than int() reads; each
+    must occur exactly twice.  ``PD[]`` denotes the empty diagram.  Empty
+    or non-PD input is a syntax error.
     """
     stripped = text.strip()
     if not stripped:
@@ -398,18 +399,35 @@ def parse_pd(text: str) -> PlaneDiagram:
     if not body:
         return PlaneDiagram([])
     if _BODY_RE.fullmatch(body):    # its only digits are the labels
-        labels = iter(map(int, _DIGITS_RE.findall(body)))
+        labels = iter(_labels(body))
         return PlaneDiagram(zip(labels, labels, labels, labels))
+    # No entry ends after the last closing bracket, and stopping the
+    # entry scans there keeps them linear when an entry is never closed.
+    cut = max(body.rfind(")"), body.rfind("]")) + 1
+    head = body[:cut]
     rows = []
-    for entry in _ENTRY_RE.finditer(body):
+    for entry in _ENTRY_RE.finditer(head):
         if not _ROW_RE.fullmatch(entry.group(1)):
             raise PDSyntaxError(f"bad crossing entry: {entry.group(0)!r}")
-        rows.append(tuple(map(int, _DIGITS_RE.findall(entry.group(1)))))
-    leftover = _ENTRY_RE.sub("", body)
+        rows.append(tuple(_labels(entry.group(1))))
+    leftover = _ENTRY_RE.sub("", head) + body[cut:]
     if leftover.replace(",", "").strip() or not rows:
-        leftover = _END_SEPARATORS_RE.sub("", leftover)
-        raise PDSyntaxError(f"unparsed content in PD expression: {leftover[:40]!r}")
+        # Trim the end separators from each side by one forward match.
+        start = _SEPARATORS_RE.match(leftover).end()
+        end = len(leftover) - _SEPARATORS_RE.match(leftover[::-1]).end()
+        raise PDSyntaxError(
+            f"unparsed content in PD expression: {leftover[start:end][:40]!r}")
     return PlaneDiagram(rows)
+
+
+def _labels(text: str) -> list[int]:
+    """The labels in text, which int() reads up to its digit limit."""
+    digits = _DIGITS_RE.findall(text)
+    try:
+        return list(map(int, digits))
+    except ValueError:
+        longest = max(map(len, digits))
+        raise PDSyntaxError(f"label of {longest} digits is too long") from None
 
 
 def _encode_from(d: PlaneDiagram, start: int) -> tuple:

@@ -104,7 +104,7 @@ def face_set_feasible(faces, cx: CellComplex) -> bool:
     bridging edges only merge components, they cannot kill homology.
     The subcomplex-enumeration oracle validates this criterion.  No
     search calls this function: it rebuilds every component in O(n), and
-    it is the test oracle for _Forest.add_face, which the searches use.
+    it is the test oracle for add_face, which the searches and walk use.
     """
     faces = frozenset(faces)
     if not _pairwise_edge_disjoint(faces, cx):
@@ -115,17 +115,19 @@ def face_set_feasible(faces, cx: CellComplex) -> bool:
                for comp in subcomplex_components(closed, cx))
 
 
-def complete_to_est(faces, cx: CellComplex) -> ExtendedSpanningTree:
-    """Bridge a face set's closure into one tree-like Y, or reject the set.
-
-    Feasibility is _Forest.add_face's test, face by face; it is
-    hereditary, so the order of the faces does not matter.
-    """
-    faces = frozenset(faces)
+def _face_forest(faces, cx: CellComplex) -> _Forest:
+    """A fresh _Forest with these faces put in by add_face, whose test
+    is hereditary; DiagramError if it refuses one, in any order."""
     forest = _Forest(cx.n)
     if not all(forest.add_face(f, cx) for f in faces):
         raise DiagramError("face set is not feasible")
-    return _bridge(forest, faces, cx)
+    return forest
+
+
+def complete_to_est(faces, cx: CellComplex) -> ExtendedSpanningTree:
+    """Bridge a face set's closure into one tree-like Y, or reject the set."""
+    faces = frozenset(faces)
+    return _bridge(_face_forest(faces, cx), faces, cx)
 
 
 def _bridge(forest: _Forest, faces, cx: CellComplex) -> ExtendedSpanningTree:

@@ -22,6 +22,10 @@ KINK = "PD[X(1,1,2,2)]"
 # feasible edge-disjoint face pairs here sit on disjoint crossing sets.
 TWO_CLASPS = "PD[X(8,2,1,7), X(2,8,3,1), X(4,6,5,3), X(6,4,7,5)]"
 NON_SPHERE = "PD[X(1,2,1,2)]"
+# A reduced grid diagram on which greedy finds 3 faces and the exact
+# search 4: the smallest such case in a sample of random grids.
+GRID_GREEDY_GAP = ("PD[X(14,5,1,6), X(1,12,2,13), X(7,2,8,3), X(3,11,4,10), "
+                   "X(9,5,10,4), X(13,7,14,6), X(8,12,9,11)]")
 
 
 def load_corpus_texts() -> dict:
@@ -75,6 +79,55 @@ def relabel_shift(pd_text: str, shift: int) -> str:
     rows = [tuple((lab + shift - 1) % top + 1 for lab in row)
             for row in d.crossings]
     return "PD[" + ", ".join("X(%d,%d,%d,%d)" % r for r in rows) + "]"
+
+
+def grid_pd(xs, os) -> str | None:
+    """PD code of the grid diagram with an X at (c, xs[c]) and an O at
+    (c, os[c]) in each column c, or None if it has no crossings.
+
+    xs and os are permutations of 0..k-1 with xs[c] != os[c].  Verticals
+    run X -> O, horizontals O -> X, and verticals pass over (Cromwell's
+    arc presentations).  Each entry lists its edges counterclockwise
+    from the incoming horizontal; components without crossings drop out.
+    """
+    xcol = {r: c for c, r in enumerate(xs)}
+    ocol = {r: c for c, r in enumerate(os)}
+
+    def inside(a, b, t):
+        return min(a, b) < t < max(a, b)
+
+    def run(a, b):
+        return range(a + 1, b) if a < b else range(a - 1, b, -1)
+
+    visits = {}     # (crossing, vertical?): [label in, label out]
+    seen = set()
+    for start in range(len(xs)):
+        path, c = [], start
+        while c not in seen:
+            seen.add(c)
+            path += [((c, r), True) for r in run(xs[c], os[c])
+                     if inside(ocol[r], xcol[r], c)]
+            r = os[c]
+            path += [((x, r), False) for x in run(ocol[r], xcol[r])
+                     if inside(xs[x], os[x], r)]
+            c = xcol[r]
+        base = 1 + len(visits)
+        for i, visit in enumerate(path):
+            visits.setdefault(visit, [0, 0])[1] = base + i
+            following = path[(i + 1) % len(path)]
+            visits.setdefault(following, [0, 0])[0] = base + i
+    if not visits:
+        return None
+    rows = []
+    for c, r in sorted({point for point, _ in visits}):
+        h_in, h_out = visits[(c, r), False]
+        v_in, v_out = visits[(c, r), True]
+        east = xcol[r] > ocol[r]
+        north = os[c] > xs[c]
+        # Counterclockwise from the incoming horizontal: W S E N or E N W S.
+        rows.append((h_in, v_in, h_out, v_out) if east == north
+                    else (h_in, v_out, h_out, v_in))
+    return pd_text(rows)
 
 
 def tree_subcomplex(est, cx):

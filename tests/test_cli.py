@@ -99,6 +99,23 @@ class TestExitCodes:
         assert [rows[k]["verified"] for k in ("a", "c")] == ["true", "true"]
         assert len(rows) == 3
 
+    def test_label_past_the_int_digit_limit_is_a_parse_row(self, tmp_path,
+                                                           capsys):
+        # int() refuses strings of more than 4,300 digits by default.
+        big = "1" * 4301
+        path = write_entries(tmp_path, [
+            f"big: PD[X({big},{big},2,2)]",
+            f"big_entry: PD[X({big},{big},2,2) junk]",
+            f"hopf: {HOPF}",
+        ])
+        code, out, err = run_cli(["batch", path], capsys)
+        assert (code, err) == (1, "")
+        rows = {r["name"]: r for r in csv_rows(out)}
+        for name in ("big", "big_entry"):
+            assert rows[name]["failure"] == \
+                "parse: label of 4301 digits is too long"
+        assert rows["hopf"]["verified"] == "true"
+
     def test_byte_order_mark_before_a_comment(self, tmp_path, capsys):
         path = tmp_path / "input.txt"
         path.write_bytes(b"\xef\xbb\xbf# knots\n" + f"a: {HOPF}\n".encode())

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import threepage as tp
@@ -44,6 +46,22 @@ def test_parse_rejects(bad):
 def test_parse_quotes_leftover_as_written(bad, quoted):
     with pytest.raises(tp.PDSyntaxError) as err:
         tp.parse_pd(bad)
+    assert str(err.value) == f"unparsed content in PD expression: {quoted}"
+
+
+@pytest.mark.parametrize("bad, quoted", [
+    # A long run of separators before more leftover text.
+    ("PD[X(1,1,2,2)x" + " " * 199_984 + "y]", "'x" + " " * 39 + "'"),
+    # Entries that are opened and never closed.
+    ("PD[" + "X(" * 99_998 + "]", repr("X(" * 20)),
+])
+def test_parse_error_path_is_linear(bad, quoted):
+    """200,000 characters are refused with the usual message in well
+    under 2 s; a scan retried from every position would take minutes."""
+    start = time.perf_counter()
+    with pytest.raises(tp.PDSyntaxError) as err:
+        tp.parse_pd(bad)
+    assert time.perf_counter() - start < 2
     assert str(err.value) == f"unparsed content in PD expression: {quoted}"
 
 

@@ -7,12 +7,12 @@ heap-driven leafy NSIS growth, the edge-count feasibility test of
 complete_to_est, the union-find split of a diagram into pieces, the
 cut-vertex reach on SimpleGraph's index form as the NSIS connectivity
 test, the bfs and dfs trees read off each crossing's darts, the
-edge-count tree check of _require_valid, and the flat-list parse, edge
-arrays, face trace, walk, verifiers and presentation each replaced a
-slower version that is still in the code or spelled out here; both must
-give the same answers on corpus diagrams and on generated braid
-closures, switched crossings, kinks and split unions included, and the
-verifiers the same offenders on broken inputs.
+add_face replay and edge count of _require_valid, and the flat-list
+parse, edge arrays, face trace, walk, verifiers and presentation each
+replaced a slower version that is still in the code or spelled out
+here; both must give the same answers on corpus diagrams and on
+generated braid closures, switched crossings, kinks and split unions
+included, and the verifiers the same offenders on broken inputs.
 """
 
 import dataclasses
@@ -39,9 +39,9 @@ from threepage.spanning import (ExtendedSpanningTree, SearchResult,
                                  _boundary_edges, complete_to_est,
                                  face_set_feasible)
 
-from conftest import (CORPUS_TEXTS, HOPF, KINK, TREFOIL, TWO_CLASPS,
-                      braid_closure_pd, disjoint_union, pd_text,
-                      switch_crossing, switched_torus_pd, torus_pd,
+from conftest import (CORPUS_TEXTS, GRID_GREEDY_GAP, HOPF, KINK, TREFOIL,
+                      TWO_CLASPS, braid_closure_pd, disjoint_union, grid_pd,
+                      pd_text, switch_crossing, switched_torus_pd, torus_pd,
                       tree_subcomplex)
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -178,20 +178,17 @@ def reference_connected(verts, adj):
 
 
 def reference_require_valid(est, cx):
-    """binding._require_valid as it was: is_contractible on a Subcomplex."""
+    """binding._require_valid spelled out: the oracle face_set_feasible,
+    then is_contractible on a Subcomplex."""
     d = cx.diagram
     if not all(0 <= e < d.edge_count for e in est.edges):
         raise tp.DiagramError("extended spanning tree has an unknown edge id")
     if not all(0 <= f < cx.face_count for f in est.faces):
         raise tp.DiagramError("extended spanning tree has an unknown face id")
-    taken = set()
-    for f in sorted(est.faces):
-        fe = set(cx.face_edges(f))
-        if fe & taken:
-            raise tp.DiagramError("extended spanning tree faces share an edge")
-        if not fe <= est.edges:
-            raise tp.DiagramError("face boundary leaves the tree edge set")
-        taken |= fe
+    if not face_set_feasible(est.faces, cx):
+        raise tp.DiagramError("face set is not feasible")
+    if not _boundary_edges(est.faces, cx) <= est.edges:
+        raise tp.DiagramError("face boundary leaves the tree edge set")
     if not tp.is_contractible(tree_subcomplex(est, cx), cx):
         raise tp.DiagramError("extended spanning tree is not contractible")
 
@@ -946,6 +943,20 @@ def split_closures(draw):
     return text
 
 
+@st.composite
+def grid_diagrams(draw):
+    """Random grid diagrams with 5 to 10 columns, crossings guaranteed."""
+    k = draw(st.integers(5, 10))
+    xs = draw(st.permutations(range(k)))
+    os = draw(st.permutations(range(k)))
+    for c in range(k):      # no X and O in one cell: swap with the next
+        if os[c] == xs[c]:
+            os[c], os[(c + 1) % k] = os[(c + 1) % k], os[c]
+    text = grid_pd(xs, os)
+    hypothesis.assume(text is not None)
+    return text
+
+
 def add_kink(text, label):
     """text with a kink on the edge labelled label: a new crossing
     X(label, loop, loop, tail), whose loop edge is a monogon, and the
@@ -978,6 +989,7 @@ FIXED = sorted(CORPUS_TEXTS.values()) + [
     switch_crossing(braid_closure_pd([1, -2, 1, -2, 1, -2], 3), 2),
     disjoint_union(KINK, torus_pd(5)),
     add_kink(add_kink(TREFOIL, 1), 1),
+    GRID_GREEDY_GAP,
 ]
 FIXED_DIAGRAMS = [d for text in FIXED for d in components(text)]
 
@@ -1360,6 +1372,7 @@ def test_require_valid_matches_reference_on_fixed_cases():
     assert None in seen
     assert "extended spanning tree is not contractible" in seen
     assert "face boundary leaves the tree edge set" in seen
+    assert "face set is not feasible" in seen
 
 
 @settings(max_examples=150, deadline=None)

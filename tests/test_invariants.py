@@ -5,6 +5,8 @@ the extended spanning tree retracts onto the dual minus its faces, so a
 face set is feasible exactly when it is a non-separating independent set
 (NSIS) of the simple dual.  Hence the exact face search and the exact
 NSIS search agree whenever both finish, and greedy never beats them.
+Each property runs over braid closures and over random grid diagrams,
+where greedy is sometimes not optimal.
 """
 
 import pytest
@@ -17,14 +19,13 @@ st = pytest.importorskip("hypothesis.strategies")
 given, settings = hypothesis.given, hypothesis.settings
 
 from test_incremental import (  # noqa: E402
-    FIXED_DIAGRAMS, ORDERS, components, split_closures)
+    FIXED_DIAGRAMS, ORDERS, check_repair, components, grid_diagrams,
+    split_closures)
 
 BUDGET = 2_000
 
 
-@settings(max_examples=100, deadline=None)
-@given(split_closures(), st.data())
-def test_feasible_face_sets_are_the_dual_nsis(text, data):
+def check_feasible_is_nsis(text, data):
     for d in components(text):
         cx = tp.CellComplex(d)
         graph = tp.SimpleGraph.from_dual(cx.dual_graph())
@@ -39,6 +40,18 @@ def test_feasible_face_sets_are_the_dual_nsis(text, data):
                 assert not feasible, chosen
             else:
                 assert feasible, chosen
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_closures(), st.data())
+def test_feasible_face_sets_are_the_dual_nsis(text, data):
+    check_feasible_is_nsis(text, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_diagrams(), st.data())
+def test_feasible_face_sets_are_the_dual_nsis_on_grids(text, data):
+    check_feasible_is_nsis(text, data)
 
 
 def check_searches_agree(d, seed):
@@ -68,3 +81,22 @@ def test_exact_m_is_nsis_max_on_fixed_cases():
 def test_exact_m_is_nsis_max_and_bounds_greedy(text, seed):
     for d in components(text):
         check_searches_agree(d, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_diagrams(), st.integers(0, 2**16))
+def test_exact_m_is_nsis_max_and_bounds_greedy_on_grids(text, seed):
+    for d in components(text):
+        check_searches_agree(d, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_diagrams())
+def test_repair_and_bound_on_grids(text):
+    """check_repair on each component, and the paper's bound 3n - 1 on
+    each reduced one with at least three crossings."""
+    for d in components(text):
+        check_repair(d)
+        if d.n >= 3 and d.is_reduced():
+            cert = tp.certify(d)
+            assert cert.verified and len(cert.final.points) <= 3 * d.n - 1

@@ -3,8 +3,8 @@ import pytest
 import threepage as tp
 from threepage.spanning import face_set_feasible
 
-from conftest import (HOPF, KINK, TREFOIL, TWO_CLASPS, braid_closure_pd,
-                      torus_pd, tree_subcomplex)
+from conftest import (GRID_GREEDY_GAP, HOPF, KINK, TREFOIL, TWO_CLASPS,
+                      braid_closure_pd, torus_pd, tree_subcomplex)
 
 # frozen maximum face counts; n <= 6 values confirmed by the
 # subcomplex-enumeration oracle, larger ones pinned from exact search
@@ -118,6 +118,22 @@ def test_greedy_orders():
     assert r1 == tp.greedy_max_faces(cx, order="random", seed=3)
     hopf_cx = tp.CellComplex(tp.parse_pd(HOPF))
     assert len(tp.greedy_max_faces(hopf_cx).faces) == 1
+
+
+def test_greedy_falls_short_on_a_grid_diagram():
+    """Greedy finds 3 faces where 4 fit, yet both trees certify 3n - 1
+    or less: the merges of repair make up for the face greedy misses."""
+    d = tp.parse_pd(GRID_GREEDY_GAP)
+    cx = tp.CellComplex(d)
+    assert (d.n, d.is_reduced()) == (7, True)
+    assert len(tp.greedy_max_faces(cx).faces) == 3
+    exact = tp.exact_max_faces(cx)
+    assert (exact.m, exact.exact) == (4, True)
+    nsis = tp.nsis_exact(tp.SimpleGraph.from_dual(cx.dual_graph()))
+    assert (nsis.size, nsis.exact) == (4, True)
+    for config in (tp.RunConfig(), tp.RunConfig(exact=True)):
+        cert = tp.certify(d, config)
+        assert cert.verified and len(cert.final.points) == 14 <= 3 * d.n - 1
 
 
 def test_budget_degrades_gracefully():
