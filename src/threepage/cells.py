@@ -92,6 +92,8 @@ class CellComplex:
         Its classes are the checkerboard colouring, face 0 in classes[0].
         It exists for every diagram of a link: the underlying graph is
         four-valent, hence Eulerian, hence its dual is bipartite.
+        SimpleGraph refuses classes that are not a 2-colouring, so a
+        colouring clash or a face the search never reached would raise.
         """
         return self._dual
 
@@ -111,11 +113,6 @@ class CellComplex:
                 if colors[g] < 0:
                     colors[g] = 1 - colors[f]
                     stack.append(g)
-                elif colors[g] == colors[f]:
-                    raise DiagramError("checkerboard coloring failed; "
-                                       "dual graph is not bipartite")
-        if min(colors) < 0:
-            raise DiagramError("dual graph is disconnected")
         return SimpleGraph(
             vertices=tuple(range(self.face_count)),
             adjacency=MappingProxyType(

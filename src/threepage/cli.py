@@ -3,7 +3,7 @@
 Reads diagram files (one `name: PD[...]` entry per line, `#` comments),
 runs the full pipeline per entry and emits text, CSV or JSON reports,
 plus SVG figures on request.  Output bytes are a function of the input
-file, the seed and the flags; nothing else leaks in.
+file and the flags; nothing else leaks in.
 
 Exit codes: 0 ok, 1 parse error, 2 validation error (or two rows that
 map to one SVG file, or an SVG file that cannot be written), 3
@@ -114,7 +114,7 @@ def _component_report(comp: PlaneDiagram, config: RunConfig) -> dict:
         graph = cx.dual_graph()
         ex = nsis_exact(graph, budget=config.budget)
         out["nsis_max"] = ex.size
-        out["nsis_greedy"] = len(nsis_greedy_leafy(graph, seed=config.seed))
+        out["nsis_greedy"] = len(nsis_greedy_leafy(graph))
         out["m_max"] = (cert.search
                         or exact_max_faces(cx, budget=config.budget)).m
     return out
@@ -364,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nsis", action="store_true",
                        help="add dual-graph NSIS columns and ratio minima")
         p.add_argument("--format", choices=["json", "csv", "text"], default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--svg", metavar="DIR", default=None,
                        help="also write one SVG per diagram into DIR")
 
@@ -385,9 +384,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.mode == "render":
         svg_dir = getattr(args, "outdir", None) or args.svg or "."
     return RunConfig(mode=args.mode, exact=args.exact, budget=args.budget,
-                     seed=args.seed, repair=not args.no_repair,
-                     extend=not args.no_extend, oracle=args.oracle,
-                     nsis=args.nsis, fmt=fmt, svg_dir=svg_dir)
+                     repair=not args.no_repair, extend=not args.no_extend,
+                     oracle=args.oracle, nsis=args.nsis, fmt=fmt,
+                     svg_dir=svg_dir)
 
 
 def main(argv=None) -> int:

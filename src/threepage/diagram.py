@@ -64,12 +64,14 @@ class PlaneDiagram:
     the code, which never changes, and the pieces are handed out as
     tuples, so no caller can alter what the next one reads.  The pieces
     are the _Forest roots of the edges, in order of first crossing.
+    Labels are positive ints, as parse_pd reads them; anything else,
+    bools included, is a PDSyntaxError.
     """
 
     def __init__(self, crossings):
         rows = []
         for row in crossings:
-            entry = tuple(map(int, row))
+            entry = tuple(row)
             if len(entry) != 4:
                 raise PDSyntaxError(
                     f"crossing {row!r} has {len(entry)} labels, expected 4")
@@ -81,6 +83,10 @@ class PlaneDiagram:
         # increasing order.  Edge ids follow sorted label order so they
         # are reproducible.
         labels = [lab for row in rows for lab in row]
+        for lab in labels:
+            if type(lab) is not int or lab < 1:
+                raise PDSyntaxError(
+                    f"arc label {lab!r:.40} is not a positive int")
         darts = sorted(range(len(labels)), key=labels.__getitem__)
         ordered = [labels[x] for x in darts]
         self.edge_labels = tuple(ordered[0::2])
@@ -408,7 +414,8 @@ def parse_pd(text: str) -> PlaneDiagram:
     rows = []
     for entry in _ENTRY_RE.finditer(head):
         if not _ROW_RE.fullmatch(entry.group(1)):
-            raise PDSyntaxError(f"bad crossing entry: {entry.group(0)!r}")
+            raise PDSyntaxError(
+                f"bad crossing entry: {entry.group(0)[:40]!r}")
         rows.append(tuple(_labels(entry.group(1))))
     leftover = _ENTRY_RE.sub("", head) + body[cut:]
     if leftover.replace(",", "").strip() or not rows:

@@ -9,7 +9,6 @@ spanning trees, and tabulates the observed size ratios.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -23,7 +22,9 @@ _DISCONNECTED = "nsis search requires a connected graph"
 class SimpleGraph:
     """Undirected graph with deduplicated adjacency and no self-loops.
 
-    The constructor checks the adjacency and keeps its index form, which
+    The constructor checks the adjacency, and the classes when given: two
+    disjoint sets covering the vertices with no edge inside either, so
+    same-class vertices are independent.  It keeps the index form, which
     every connectivity question runs cut_vertices on: vertex _ids[i] is
     i, in sorted id order, _index maps ids back, and _nbrs[i] lists the
     indices of i's neighbors.
@@ -49,6 +50,11 @@ class SimpleGraph:
         for v in ids:
             if v not in self.adjacency:
                 raise DiagramError(f"vertex {v} missing from adjacency")
+        if self.classes is not None:
+            a, b = self.classes
+            if a & b or a | b != index.keys() or any(
+                    self.adjacency[v] & side for side in (a, b) for v in side):
+                raise DiagramError("classes are not a 2-colouring of the graph")
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_nbrs", tuple(
@@ -139,13 +145,13 @@ def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:
     """NSIS from the leaves of a greedily grown many-leaf spanning tree.
 
     Grows the tree by always expanding the vertex that adds the most new
-    neighbors, lowest id on ties, takes the leaves inside the better
-    bipartition class (same-class vertices are independent when the
-    classes are genuine), then keeps those with no kept neighbor.  Taking
-    leaves off a spanning tree leaves the rest of it connected, and not
-    empty: with V >= 3 the tree has an inner vertex, and with V = 2 the
-    two leaves are neighbors.  So the result always satisfies is_nsis; it
-    may be empty.  A graph the tree cannot span is refused.
+    neighbors, lowest id on ties, and returns the leaves inside the larger
+    bipartition class, which SimpleGraph has checked to be independent.
+    Taking leaves off a spanning tree leaves the rest of it connected, and
+    not empty: with V >= 3 the tree has an inner vertex, and with V = 2
+    the two leaves are neighbors.  So the result always satisfies is_nsis;
+    it may be empty.  A graph the tree cannot span is refused.  seed is
+    ignored; it stays because bench/replay.py passes it.
 
     The expanding vertex comes off a heap of (-gain, id) entries.  Gains
     only fall as the tree grows, so the top entry is recounted and pushed
@@ -154,7 +160,6 @@ def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:
     """
     import heapq  # here: its C module adds start-up time and memory
 
-    rng = random.Random(seed)
     adj = graph.adjacency
     verts = set(graph.vertices)
     if not verts:
@@ -190,14 +195,7 @@ def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:
     leaves = {v for v, k in tree_deg.items() if k == 1}
     side_a, side_b = graph.classes
     in_a, in_b = leaves & side_a, leaves & side_b
-    candidates = sorted(in_a if len(in_a) >= len(in_b) else in_b)
-    rng.shuffle(candidates)
-
-    kept: set[int] = set()
-    for v in candidates:
-        if not adj[v] & kept:
-            kept.add(v)
-    return frozenset(kept)
+    return frozenset(in_a if len(in_a) >= len(in_b) else in_b)
 
 
 def nsis_ratio_report(records) -> dict:

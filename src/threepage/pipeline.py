@@ -25,7 +25,7 @@ class RunConfig:
     mode: str = "analyze"
     exact: bool = False
     budget: int = 10_000_000
-    seed: int = 0
+    seed: int = 0  # read only by bench/replay.py; ROADMAP item 4 deletes it
     repair: bool = True
     extend: bool = True
     oracle: bool = False

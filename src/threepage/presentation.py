@@ -272,9 +272,8 @@ def overlay_reconstruct(pres: ThreePagePresentation) -> OverlayResult:
     except ValueError as exc:
         return OverlayResult(supported=False,
                              reason=f"reassembled code is invalid: {exc}")
-    text = "PD[" + ", ".join(
-        "X(%d,%d,%d,%d)" % row for row in rows) + "]"
-    return OverlayResult(supported=True, pd_text=text, diagram=diagram)
+    return OverlayResult(supported=True, pd_text=diagram.pd_text(),
+                         diagram=diagram)
 
 
 _SVG_SIZE = 480

@@ -65,6 +65,26 @@ def test_parse_error_path_is_linear(bad, quoted):
     assert str(err.value) == f"unparsed content in PD expression: {quoted}"
 
 
+def test_bad_entry_message_is_cut():
+    """The entry is quoted up to 40 characters, like every other parse
+    message, so one bad line cannot fill a 100 kB report cell."""
+    with pytest.raises(tp.PDSyntaxError) as err:
+        tp.parse_pd("PD[" + "X(" * 50_000 + "]X(]")
+    assert str(err.value) == f"bad crossing entry: {'X(' * 20!r}"
+
+
+@pytest.mark.parametrize("row", [
+    (1.5, 1, 2, 2), (True, True, 2, 2), ("1", "1", 2, 2),
+    ("1_0", "1_0", 2, 2), (0, 0, 1, 1), (-1, -1, 2, 2),
+    ("1" * 4301, "1" * 4301, 2, 2),
+])
+def test_constructor_takes_positive_int_labels_only(row):
+    """The public constructor converts nothing: each label must be an
+    int of at least 1, as parse_pd reads them."""
+    with pytest.raises(tp.PDSyntaxError, match="is not a positive int$"):
+        tp.PlaneDiagram([row])
+
+
 def test_dart_arithmetic():
     assert [rotate(dart_id(1, s)) for s in range(4)] == [5, 6, 7, 4]
     assert [slot_of(dart_id(2, s)) for s in range(4)] == [0, 1, 2, 3]

@@ -35,7 +35,6 @@ FLAG_SETS = (
     ("--oracle",),
     ("--no-repair",),
     ("--no-extend",),
-    ("--seed", "3"),
     ("--exact", "--no-repair"),
     ("--exact", "--nsis", "--budget", "40"),
     # budget 20 stops the search on some corpus rows and not on others

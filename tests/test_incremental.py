@@ -343,7 +343,8 @@ def reference_parse_pd(text):
     for entry in diagram._ENTRY_RE.finditer(body):
         parts = [p.strip() for p in entry.group(1).split(",")]
         if not all(_REFERENCE_LABEL_RE.fullmatch(p) for p in parts):
-            raise PDSyntaxError(f"bad crossing entry: {entry.group(0)!r}")
+            raise PDSyntaxError(
+                f"bad crossing entry: {entry.group(0)[:40]!r}")
         rows.append(tuple(int(p) for p in parts))
         consumed.append(entry.group(0))
     leftover = diagram._ENTRY_RE.sub("", body)
@@ -1248,7 +1249,8 @@ def test_leafy_matches_reference_on_fixed_cases():
 
 
 @settings(max_examples=100, deadline=None)
-@given(closures(), st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+@given(st.one_of(closures(), grid_diagrams()),
+       st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
        st.randoms(use_true_random=False))
 def test_leafy_matches_reference(text, seeds, rng):
     for d in components(text):
@@ -1743,7 +1745,8 @@ def test_parse_matches_reference_on_fixed_cases():
                      "PD[X(1,1,2)]", "PD[X(1,1,2,2,3,3)]", "PD[X(1, 1, 2, 2]]",
                      "PD[X(01,1,\x1c2,2 )]", "PD[X(1,1,2,2) junk]",
                      "PD[X(1,1,2,2)\nX(3,3,4,4)]", "X(1,1,2,2)", "",
-                     "PD[X(1,2,3,4]", "PD[Y(1,3,2,4), X(3,1,4,2)]"]
+                     "PD[X(1,2,3,4]", "PD[Y(1,3,2,4), X(3,1,4,2)]",
+                     "PD[" + "X(" * 50_000 + "]X(]"]
     for text in texts:
         assert parsed(tp.parse_pd, text) == parsed(reference_parse_pd, text)
 

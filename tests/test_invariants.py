@@ -5,14 +5,17 @@ the extended spanning tree retracts onto the dual minus its faces, so a
 face set is feasible exactly when it is a non-separating independent set
 (NSIS) of the simple dual.  Hence the exact face search and the exact
 NSIS search agree whenever both finish, and greedy never beats them.
-Each property runs over braid closures and over random grid diagrams,
-where greedy is sometimes not optimal.
+On small components the subcomplex enumeration agrees with the exact
+search too, and every CLI row keeps the walk's point counts.  Each
+property runs over braid closures and over random grid diagrams, where
+greedy is sometimes not optimal.
 """
 
 import pytest
 
 import threepage as tp
-from threepage.spanning import face_set_feasible
+from threepage import cli
+from threepage.spanning import face_set_feasible, oracle_max_faces
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -100,3 +103,30 @@ def test_repair_and_bound_on_grids(text):
         if d.n >= 3 and d.is_reduced():
             cert = tp.certify(d)
             assert cert.verified and len(cert.final.points) <= 3 * d.n - 1
+
+
+def check_oracle_and_row(text):
+    """The oracle equals the exact m on every component with n <= 6, and
+    the CLI row is verified with points_before = 3n + c - m and
+    bound = points_after <= points_before."""
+    for d in components(text):
+        if d.n <= 6:
+            cx = tp.CellComplex(d)
+            assert oracle_max_faces(cx) == tp.exact_max_faces(cx).m
+    row, severity = cli.analyze_entry("row", text, tp.RunConfig())
+    assert severity == cli.OK and row["verified"], row["failure"]
+    assert row["points_before"] == \
+        3 * row["n"] + row["components"] - row["m"]
+    assert row["bound"] == row["points_after"] <= row["points_before"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_closures())
+def test_oracle_and_row_counts(text):
+    check_oracle_and_row(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_diagrams())
+def test_oracle_and_row_counts_on_grids(text):
+    check_oracle_and_row(text)

@@ -50,6 +50,17 @@ class TestSimpleGraph:
         with pytest.raises(DiagramError, match="missing"):
             SimpleGraph(vertices=(0, 1), adjacency={0: frozenset()})
 
+    @pytest.mark.parametrize("classes", [
+        (frozenset({0, 2}), frozenset({1, 2, 3})),  # 2 in both
+        (frozenset({0}), frozenset({1, 3})),        # 2 in neither
+        (frozenset({0, 2}), frozenset({1, 3, 4})),  # 4 is no vertex
+        (frozenset({0, 1}), frozenset({2, 3})),     # edge 0-1 in one class
+    ])
+    def test_classes_must_be_a_two_colouring(self, classes):
+        with pytest.raises(DiagramError,
+                           match="^classes are not a 2-colouring of the graph$"):
+            graph([(0, 1), (1, 2), (2, 3), (3, 0)], classes=classes)
+
     def test_from_dual(self, corpus_complexes):
         for name, cx in corpus_complexes.items():
             g = SimpleGraph.from_dual(cx.dual_graph())
