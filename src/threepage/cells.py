@@ -184,19 +184,11 @@ def is_contractible(sub: Subcomplex, cx: CellComplex) -> bool:
     contractibility: a proper subcomplex carries no 2-cycles, so it is
     contractible exactly when it is connected with trivial first homology,
     and chi = 1 pins that down; the whole complex (chi = 2) and the empty
-    one (chi = 0) fail it.  The complement-connectivity count below stays
-    available as an independent check of the same property.
-
-    One closure check, O(|sub|); then chi from the cell counts and, when
-    it is 1, one union-find pass over the edges, O(|sub| log n).  The
-    edges of a closed subcomplex join only its vertices, so it is
-    connected iff they make |vertices| - 1 merges.
+    one (chi = 0) fail it.  complement_components == 1 is an independent
+    check of the same property.
     """
-    _require_closed(sub, cx)
-    if len(sub.vertices) - len(sub.edges) + len(sub.faces) != 1:
-        return False
-    merges = _Forest(cx.n).join(map(cx.diagram.edge_endpoints, sub.edges))
-    return len(merges) == len(sub.vertices) - 1
+    return (euler_characteristic(sub, cx) == 1
+            and len(subcomplex_components(sub, cx)) == 1)
 
 
 def complement_components(sub: Subcomplex, cx: CellComplex) -> int:
@@ -204,15 +196,13 @@ def complement_components(sub: Subcomplex, cx: CellComplex) -> int:
 
     Vertices of the counted graph are the faces outside ``sub``; an
     omitted primal edge joins its two face-sides whenever both are
-    outside ``sub``.
+    outside ``sub``.  The count is the outside faces less the merges
+    _Forest.join makes over those edges.
     """
     _require_closed(sub, cx)
-    outside = [f for f in range(cx.face_count) if f not in sub.faces]
-    forest = _Forest(cx.face_count)
-    for e in range(cx.diagram.edge_count):
-        if e in sub.edges:
-            continue
-        a, b = cx.edge_sides(e)
-        if a not in sub.faces and b not in sub.faces:
-            forest.union(a, b)
-    return len({forest.find(f) for f in outside})
+    outside = [f not in sub.faces for f in range(cx.face_count)]
+    sides = (cx.edge_sides(e) for e in range(cx.diagram.edge_count)
+             if e not in sub.edges)
+    merges = _Forest(cx.face_count).join(
+        (a, b) for a, b in sides if outside[a] and outside[b])
+    return sum(outside) - len(merges)

@@ -87,7 +87,7 @@ def _component_report(comp: PlaneDiagram, config: RunConfig) -> dict:
         "m_mode": cert.m_mode,
         "points_before": len(cert.raw.points),
         "points_after": len(cert.final.points),
-        "bound": len(cert.final.points) if cert.verified else None,
+        "bound": cert.presentation.bound if cert.verified else None,
         "verified": cert.verified,
         "failures": failures,
         "notes": notes,

@@ -71,10 +71,14 @@ class PlaneDiagram:
     def __init__(self, crossings):
         rows = []
         for row in crossings:
-            entry = tuple(row)
-            if len(entry) != 4:
+            try:
+                entry = tuple(row)
+            except TypeError:
                 raise PDSyntaxError(
-                    f"crossing {row!r} has {len(entry)} labels, expected 4")
+                    f"crossing {row!r:.40} is not a row of labels") from None
+            if len(entry) != 4:
+                raise PDSyntaxError(f"crossing {row!r:.40} has "
+                                    f"{len(entry)} labels, expected 4")
             rows.append(entry)
         self.crossings = tuple(rows)
 

@@ -22,12 +22,12 @@ _DISCONNECTED = "nsis search requires a connected graph"
 class SimpleGraph:
     """Undirected graph with deduplicated adjacency and no self-loops.
 
-    The constructor checks the adjacency, and the classes when given: two
-    disjoint sets covering the vertices with no edge inside either, so
-    same-class vertices are independent.  It keeps the index form, which
-    every connectivity question runs cut_vertices on: vertex _ids[i] is
-    i, in sorted id order, _index maps ids back, and _nbrs[i] lists the
-    indices of i's neighbors.
+    The constructor checks the adjacency, and the classes when given: a
+    tuple or list of two disjoint sets covering the vertices with no edge
+    inside either, so same-class vertices are independent.  It keeps the
+    index form, which every connectivity question runs cut_vertices on:
+    vertex _ids[i] is i, in sorted id order, _index maps ids back, and
+    _nbrs[i] lists the indices of i's neighbors.
     """
 
     vertices: tuple[int, ...]
@@ -50,11 +50,14 @@ class SimpleGraph:
         for v in ids:
             if v not in self.adjacency:
                 raise DiagramError(f"vertex {v} missing from adjacency")
-        if self.classes is not None:
-            a, b = self.classes
-            if a & b or a | b != index.keys() or any(
-                    self.adjacency[v] & side for side in (a, b) for v in side):
-                raise DiagramError("classes are not a 2-colouring of the graph")
+        sides = self.classes
+        if sides is not None and not (
+                isinstance(sides, (tuple, list)) and len(sides) == 2
+                and all(isinstance(s, (set, frozenset)) for s in sides)
+                and not sides[0] & sides[1]
+                and sides[0] | sides[1] == index.keys()
+                and not any(self.adjacency[v] & s for s in sides for v in s)):
+            raise DiagramError("classes are not a 2-colouring of the graph")
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_nbrs", tuple(

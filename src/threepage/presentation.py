@@ -94,11 +94,12 @@ def to_presentation(seq: BindingSequence) -> ThreePagePresentation:
 def verify_pages(pres: ThreePagePresentation) -> PageReport:
     """Book-embedding well-formedness; never raises.
 
-    Degrees and page labels in one pass over the P chords, then one
-    crossing_pairs scan per page for planarity.  Its open-chord stack
-    reports exactly the interleaving pairs, never two chords that only
-    share an end nor a chord from a point to itself, in O(P log P) for
-    the sorts and O(P) after them on a planar page.
+    The bound must be the arc count.  Degrees and page labels in one
+    pass over the P chords, then one crossing_pairs scan per page for
+    planarity.  Its open-chord stack reports exactly the interleaving
+    pairs, never two chords that only share an end nor a chord from a
+    point to itself, in O(P log P) for the sorts and O(P) after them on
+    a planar page.
     """
     bad_deg: list[str] = []
     bad_pages: list[str] = []
@@ -107,6 +108,9 @@ def verify_pages(pres: ThreePagePresentation) -> PageReport:
     position = pres._position
     if len(position) != len(pres.points):
         bad_deg.append("duplicate point ids")
+    if pres.bound != len(pres.chords):
+        bad_deg.append(f"bound {pres.bound!r:.40} is not the arc count "
+                       f"{len(pres.chords)}")
     at_point: dict[int, list[Chord]] = {pid: [] for pid in position}
     placed, spans = [], []
     for ch in pres.chords:

@@ -78,39 +78,35 @@ def spanning_tree(cx: CellComplex, strategy: str = "bfs",
     return frozenset(chosen)
 
 
-def _boundary_edges(faces, cx: CellComplex) -> frozenset[int]:
-    out: set[int] = set()
-    for f in faces:
-        out.update(cx.face_edges(f))
-    return frozenset(out)
+def _face_set_edges(faces, cx: CellComplex) -> frozenset[int] | None:
+    """The edges of these distinct faces, or None if two share an edge.
 
-
-def _pairwise_edge_disjoint(faces, cx: CellComplex) -> bool:
-    seen: set[int] = set()
-    for f in faces:
-        edges = cx.face_edges(f)
-        if any(e in seen for e in edges):
-            return False
-        seen.update(edges)
-    return True
+    A face lists each of its edges once, so the faces are pairwise
+    edge-disjoint exactly when the union is as long as the lists.
+    """
+    lists = [cx.face_edges(f) for f in faces]
+    edges = frozenset().union(*lists)
+    return edges if len(edges) == sum(map(len, lists)) else None
 
 
 def face_set_feasible(faces, cx: CellComplex) -> bool:
     """Whether some extended spanning tree has exactly this face set.
 
-    True iff the faces are pairwise edge-disjoint and every connected
-    component of (all vertices, their boundaries, the faces) has Euler
-    characteristic 1.  Components with a cycle can never be completed:
-    bridging edges only merge components, they cannot kill homology.
-    The subcomplex-enumeration oracle validates this criterion.  No
-    search calls this function: it rebuilds every component in O(n), and
-    it is the test oracle for add_face, which the searches and walk use.
+    True iff _face_set_edges finds the faces pairwise edge-disjoint and
+    every connected component of (all vertices, those edges, the faces)
+    has Euler characteristic 1.  Components with a cycle can never be
+    completed: bridging edges only merge components, they cannot kill
+    homology.  The subcomplex-enumeration oracle, which reads the same
+    edge rule, validates this criterion.  No search calls this function:
+    it rebuilds every component in O(n), and it is the test oracle for
+    add_face, which the searches and walk use.
     """
     faces = frozenset(faces)
-    if not _pairwise_edge_disjoint(faces, cx):
+    edges = _face_set_edges(faces, cx)
+    if edges is None:
         return False
-    closed = Subcomplex(vertices=frozenset(range(cx.n)),
-                        edges=_boundary_edges(faces, cx), faces=faces)
+    closed = Subcomplex(vertices=frozenset(range(cx.n)), edges=edges,
+                        faces=faces)
     return all(euler_characteristic(comp, cx) == 1
                for comp in subcomplex_components(closed, cx))
 
@@ -195,13 +191,13 @@ def oracle_max_faces(cx: CellComplex) -> int:
 
     Walks all face subsets and, for each, all edge supersets of the
     boundary with the size a contractible subcomplex must have
-    (chi = 1 forces |edges| = n + |faces| - 1), testing connectivity and
-    pairwise edge-disjointness directly.  Exponential; limited to n <= 6.
+    (chi = 1 forces |edges| = n + |faces| - 1), testing connectivity
+    directly; _face_set_edges skips the subsets whose faces share an
+    edge.  Exponential; limited to n <= 6.
     """
     d = cx.diagram
     if d.n > 6:
         raise DiagramError("oracle enumeration is limited to n <= 6")
-    face_edge_sets = [frozenset(cx.face_edges(f)) for f in range(cx.face_count)]
     all_edges = range(d.edge_count)
 
     def connects(edge_set) -> bool:
@@ -209,10 +205,9 @@ def oracle_max_faces(cx: CellComplex) -> int:
 
     for m in range(cx.face_count, -1, -1):
         for faces in itertools.combinations(range(cx.face_count), m):
-            if not _pairwise_edge_disjoint(faces, cx):
+            required = _face_set_edges(faces, cx)
+            if required is None:
                 continue
-            required = frozenset().union(*(face_edge_sets[f] for f in faces)) \
-                if faces else frozenset()
             need = d.n + m - 1 - len(required)
             if need < 0:
                 continue

@@ -85,6 +85,27 @@ def test_constructor_takes_positive_int_labels_only(row):
         tp.PlaneDiagram([row])
 
 
+@pytest.mark.parametrize("rows, quoted", [
+    ([5], "5"), ([(1, 1, 2, 2), None], "None"),
+])
+def test_constructor_rows_must_be_label_rows(rows, quoted):
+    """A row that is not iterable is a syntax error, not a TypeError."""
+    with pytest.raises(tp.PDSyntaxError) as err:
+        tp.PlaneDiagram(rows)
+    assert str(err.value) == f"crossing {quoted} is not a row of labels"
+
+
+def test_wide_row_message_is_cut():
+    """A 30,000-label entry is quoted up to 40 characters, so its report
+    cell stays readable by csv, whose fields stop at 131,072 characters."""
+    labels = ",".join(map(str, range(1, 30_001)))
+    with pytest.raises(tp.PDSyntaxError) as err:
+        tp.parse_pd(f"PD[X({labels})]")
+    quoted = repr(tuple(range(1, 30_001)))[:40]
+    assert str(err.value) == \
+        f"crossing {quoted} has 30000 labels, expected 4"
+
+
 def test_dart_arithmetic():
     assert [rotate(dart_id(1, s)) for s in range(4)] == [5, 6, 7, 4]
     assert [slot_of(dart_id(2, s)) for s in range(4)] == [0, 1, 2, 3]

@@ -36,8 +36,7 @@ from threepage.errors import PDSyntaxError
 from threepage.nsis import NsisResult
 from threepage.presentation import Chord, PageReport, ThreePagePresentation
 from threepage.spanning import (ExtendedSpanningTree, SearchResult,
-                                 _boundary_edges, complete_to_est,
-                                 face_set_feasible)
+                                 complete_to_est, face_set_feasible)
 
 from conftest import (CORPUS_TEXTS, GRID_GREEDY_GAP, HOPF, KINK, TREFOIL,
                       TWO_CLASPS, braid_closure_pd, disjoint_union, grid_pd,
@@ -120,7 +119,7 @@ def reference_complete_to_est(faces, cx):
     faces = frozenset(faces)
     if not face_set_feasible(faces, cx):
         raise tp.DiagramError("face set is not feasible")
-    edges = set(_boundary_edges(faces, cx))
+    edges = set().union(*map(cx.face_edges, faces))
     d = cx.diagram
     forest = _Forest(cx.n)
     for e in edges:
@@ -187,7 +186,7 @@ def reference_require_valid(est, cx):
         raise tp.DiagramError("extended spanning tree has an unknown face id")
     if not face_set_feasible(est.faces, cx):
         raise tp.DiagramError("face set is not feasible")
-    if not _boundary_edges(est.faces, cx) <= est.edges:
+    if not set().union(*map(cx.face_edges, est.faces)) <= est.edges:
         raise tp.DiagramError("face boundary leaves the tree edge set")
     if not tp.is_contractible(tree_subcomplex(est, cx), cx):
         raise tp.DiagramError("extended spanning tree is not contractible")
@@ -1339,7 +1338,7 @@ def random_candidate(cx, rng):
     try:
         edges = set(complete_to_est(faces, cx).edges)
     except tp.DiagramError:
-        edges = set(_boundary_edges(faces, cx))
+        edges = set().union(*map(cx.face_edges, faces))
     for _ in range(rng.choice((0, 0, 1, 2))):
         kind = rng.random()
         if kind < 0.4 and edges:

@@ -6,10 +6,13 @@ face set is feasible exactly when it is a non-separating independent set
 (NSIS) of the simple dual.  Hence the exact face search and the exact
 NSIS search agree whenever both finish, and greedy never beats them.
 On small components the subcomplex enumeration agrees with the exact
-search too, and every CLI row keeps the walk's point counts.  Each
-property runs over braid closures and over random grid diagrams, where
-greedy is sometimes not optimal.
+search too, and every CLI row keeps the walk's point counts.  A row,
+of damaged input too, repeats exactly, with the exit code its failure
+names.  Each property runs over braid closures and over random grid
+diagrams, where greedy is sometimes not optimal.
 """
+
+import re
 
 import pytest
 
@@ -130,3 +133,51 @@ def test_oracle_and_row_counts(text):
 @given(grid_diagrams())
 def test_oracle_and_row_counts_on_grids(text):
     check_oracle_and_row(text)
+
+
+SEVERITY_OF_PREFIX = {None: cli.OK, "parse": cli.PARSE,
+                      "validation": cli.VALIDATION,
+                      "verification": cli.VERIFICATION}
+
+
+@st.composite
+def damaged_texts(draw):
+    """A closure or grid diagram, sometimes damaged: a character dropped,
+    a label set to 0, a label repeated a third time, the tail cut, or two
+    labels swapped, which keeps every label twice but often leaves no
+    sphere embedding."""
+    text = draw(st.one_of(split_closures(), grid_diagrams()))
+    kind = draw(st.sampled_from(["none", "drop", "zero", "third", "cut",
+                                 "swap"]))
+    if kind in ("drop", "cut"):
+        k = draw(st.integers(0, len(text) - 1))
+        return text[:k] + text[k + 1:] if kind == "drop" else text[:k]
+    if kind == "none":
+        return text
+    labels = list(re.finditer(r"\d+", text))
+    i, j = sorted(draw(st.lists(st.integers(0, len(labels) - 1),
+                                min_size=2, max_size=2, unique=True)))
+    a, b = labels[i], labels[j]
+    if kind == "zero":
+        new_a, new_b = a.group(), "0"
+    else:
+        hypothesis.assume(a.group() != b.group())
+        new_a = b.group() if kind == "swap" else a.group()
+        new_b = a.group()
+    return (text[:a.start()] + new_a + text[a.end():b.start()] + new_b
+            + text[b.end():])
+
+
+@settings(max_examples=100, deadline=None)
+@given(damaged_texts())
+def test_rows_repeat_and_exit_codes_match(text):
+    """Two runs give equal public rows, and the severity is the one the
+    failure prefix names; no row fails as an internal error."""
+    first, severity = cli.analyze_entry("row", text, tp.RunConfig())
+    again, repeat = cli.analyze_entry("row", text, tp.RunConfig())
+    assert cli._row_public(first) == cli._row_public(again)
+    assert severity == repeat
+    failure = first["failure"]
+    prefix = failure.split(":", 1)[0] if failure else None
+    assert prefix in SEVERITY_OF_PREFIX, failure
+    assert severity == SEVERITY_OF_PREFIX[prefix], failure

@@ -55,11 +55,19 @@ class TestSimpleGraph:
         (frozenset({0}), frozenset({1, 3})),        # 2 in neither
         (frozenset({0, 2}), frozenset({1, 3, 4})),  # 4 is no vertex
         (frozenset({0, 1}), frozenset({2, 3})),     # edge 0-1 in one class
+        (frozenset({0}),),                          # one set, not two
+        ({0, 2}, [1, 3]),                           # a list, not a set
+        5,                                          # not a pair at all
     ])
     def test_classes_must_be_a_two_colouring(self, classes):
         with pytest.raises(DiagramError,
                            match="^classes are not a 2-colouring of the graph$"):
             graph([(0, 1), (1, 2), (2, 3), (3, 0)], classes=classes)
+
+    def test_classes_may_be_a_list(self):
+        classes = [frozenset({0, 2}), frozenset({1, 3})]
+        g = graph([(0, 1), (1, 2), (2, 3), (3, 0)], classes=classes)
+        assert g.classes == classes
 
     def test_from_dual(self, corpus_complexes):
         for name, cx in corpus_complexes.items():

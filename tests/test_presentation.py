@@ -21,7 +21,7 @@ from threepage import (
     verify_pages,
 )
 
-from conftest import HOPF, KINK, TREFOIL_SWITCHED
+from conftest import HOPF, KINK, TREFOIL, TREFOIL_SWITCHED
 
 EMPTY = ThreePagePresentation(points=(), chords=(), repaired=False, bound=0)
 
@@ -121,6 +121,17 @@ class TestVerifyPages:
 
     def test_empty_ok(self):
         assert verify_pages(EMPTY).ok
+
+    def test_bound_must_be_the_arc_count(self):
+        """The bound is what a row prints, so a presentation whose bound
+        is not its chord count is refused, and only for that."""
+        cx = CellComplex(parse_pd(TREFOIL))
+        pres = to_presentation(boundary_sequence(exact_max_faces(cx).est, cx))
+        assert verify_pages(pres).ok
+        rep = verify_pages(dataclasses.replace(pres, bound=99))
+        assert not rep.ok and not rep.degree_ok
+        assert rep.offenders == (
+            f"bound 99 is not the arc count {len(pres.chords)}",)
 
 
 class TestInterleavings:
