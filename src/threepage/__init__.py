@@ -11,7 +11,7 @@ dual-graph NSIS reformulation and brute-force oracles cross-check the
 search layers.
 """
 
-from .binding import (ARC_TYPES, PAGE_BY_TYPE, Arc, ArcEnd, BindingPoint,
+from .binding import (ARC_TYPES, PAGE_BY_TYPE, Arc, BindingPoint,
                       BindingReport, BindingSequence, boundary_sequence,
                       chords_cross, repair, verify_binding)
 from .cells import (CellComplex, Subcomplex, complement_components,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARC_TYPES", "PAGE_BY_TYPE",
-    "Arc", "ArcEnd", "BindingPoint", "BindingReport", "BindingSequence",
+    "Arc", "BindingPoint", "BindingReport", "BindingSequence",
     "CellComplex", "Certificate", "Chord", "DiagramError",
     "ExtendedSpanningTree", "InternalError", "NsisResult", "OverlayResult",
     "PDSyntaxError", "PageReport", "PlaneDiagram", "RunConfig",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .cells import CellComplex
 from .diagram import PlaneDiagram, _Forest
@@ -50,16 +49,11 @@ class BindingPoint:
     anchor_dart: int
 
 
-class ArcEnd(NamedTuple):
-    point: int
-    dart: int | None  # inside arcs: the dart reaching this end
-
-
 @dataclass(frozen=True, slots=True)
 class Arc:
     id: int
     type: str
-    ends: tuple[ArcEnd, ArcEnd]
+    ends: tuple[int, int]       # the ids of the binding points it joins
     crossings: tuple[int, ...]  # passages in path order, ends[0] to ends[1]
     darts: tuple[int, ...]      # two darts per passage, same order
     edge: int | None            # outside arcs: the edge whose middle this is
@@ -231,20 +225,14 @@ def boundary_sequence(est: ExtendedSpanningTree,
         if len(points) - cuts != 2 * (d.edge_count - len(tree)):
             raise InternalError("near-vertex cut count mismatch")
 
-    # ArcEnd(p, x) is tuple.__new__(ArcEnd, (p, x)), less one call.
-    new = tuple.__new__
     arcs: list[Arc] = []
     for c in range(d.n):
         for x, typ in ((4 * c, INSIDE_UNDER), (4 * c + 1, INSIDE_OVER)):
-            arcs.append(Arc(len(arcs), typ, (new(ArcEnd, (at[x], x)),
-                                             new(ArcEnd, (at[x + 2], x + 2))),
+            arcs.append(Arc(len(arcs), typ, (at[x], at[x + 2]),
                             (c,), (x, x + 2), None))
     for e, (d1, d2) in enumerate(d.edge_darts):
         if e not in tree:
-            arcs.append(Arc(len(arcs), OUTSIDE,
-                            (new(ArcEnd, (at[d1], None)),
-                             new(ArcEnd, (at[d2], None))),
-                            (), (), e))
+            arcs.append(Arc(len(arcs), OUTSIDE, (at[d1], at[d2]), (), (), e))
 
     return BindingSequence(points=tuple(points), arcs=tuple(arcs),
                            n=d.n, m=len(est.faces), repaired=False,
@@ -271,15 +259,13 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
     and builds one Arc, with the least id of its pieces.  O(A log A + P).
     """
     arcs = seq.arcs
+    at = [pid for a in arcs for pid in a.ends]    # end k of arc i: at[2i + k]
     # The two arc ends at each edge cut; other points are never removed.
     ends_at: dict[int, list[int]] = {
         p.id: [] for p in seq.points if p.kind == KIND_EDGE_CUT}
-    for k, a in enumerate(arcs):
-        (p, _), (q, _) = a.ends
-        if p in ends_at:
-            ends_at[p].append(2 * k)
-        if q in ends_at:
-            ends_at[q].append(2 * k + 1)
+    for x, pid in enumerate(at):
+        if pid in ends_at:
+            ends_at[pid].append(x)
     forest = _Forest(len(arcs))
     free: dict[int, tuple[int, int, int]] = {}  # root: age, first, last
     across: dict[int, int] = {}    # the other end at each removed cut
@@ -301,7 +287,7 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
         removed.add(pid)
     out = {a.id: a for a in arcs}
     for _, x, last in free.values():
-        ends = (arcs[x >> 1].ends[x & 1], arcs[last >> 1].ends[last & 1])
+        ends = (at[x], at[last])
         ids, crossings, darts = [], [], []
         while True:    # in at end x of arc x >> 1, out at end x ^ 1
             a = out.pop(arcs[x >> 1].id)
@@ -350,7 +336,7 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
 
     ends_at: dict[int, list[Arc]] = {pid: [] for pid in by_id}
     for a in arcs:
-        for k, (pid, _) in enumerate(a.ends):
+        for k, pid in enumerate(a.ends):
             if pid in ends_at:
                 ends_at[pid].append(a)
             else:
@@ -420,7 +406,7 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
                 bad1.append(f"outside arc {a.id} on edge {e}")
                 continue
             want = d.edge_darts[e]
-            for pid, _ in a.ends:
+            for pid in a.ends:
                 p = by_id.get(pid)
                 if p is not None and (p.kind != KIND_NEAR or p.edge != e or
                                       p.anchor_dart not in want):
@@ -447,10 +433,8 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
             if x & 1 != over:
                 bad3.append(f"arc {a.id} typed {typ} passes "
                             f"dart {x} ({d.strand_type(x)})")
-        for k, (pid, dart) in enumerate(a.ends):
+        for k, pid in enumerate(a.ends):
             edge_dart = ds[-k]    # ds[0] at end 0, ds[-1] at end 1
-            if dart != edge_dart:
-                bad1.append(f"arc {a.id} end {k} dart mismatch")
             p = by_id.get(pid)
             if p is None:
                 continue

@@ -98,7 +98,7 @@ class PlaneDiagram:
                 len(set(self.edge_labels)) != len(self.edge_labels):
             detail = ", ".join(f"{lab} appears {k} times" for lab, k
                                in sorted(Counter(labels).items()) if k != 2)
-            raise PDSyntaxError(f"arc labels must appear exactly twice: {detail}")
+            raise PDSyntaxError(f"arc labels must appear exactly twice: {detail:.40}")
         self.edge_darts = tuple(zip(darts[0::2], darts[1::2]))
         self._edge_of_dart = [0] * len(labels)
         self._opposite = [0] * len(labels)

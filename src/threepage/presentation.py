@@ -83,9 +83,8 @@ def to_presentation(seq: BindingSequence) -> ThreePagePresentation:
     once verify_binding has accepted seq and verify_pages the result;
     pipeline.certify runs both on every sequence it presents.
     """
-    chords = tuple([Chord(arc.ends[0].point, arc.ends[1].point,
-                          PAGE_BY_TYPE[arc.type], arc.crossings, arc.id)
-                    for arc in seq.arcs])
+    chords = tuple([Chord(*arc.ends, PAGE_BY_TYPE[arc.type], arc.crossings,
+                          arc.id) for arc in seq.arcs])
     return ThreePagePresentation(points=tuple([p.id for p in seq.points]),
                                  chords=chords, repaired=seq.repaired,
                                  bound=len(seq.points))

@@ -73,7 +73,7 @@ class TestFrozenWalks:
 
     def test_hopf_m1_arcs(self):
         _, _, _, seq = build(HOPF)
-        got = [(a.id, a.type, a.ends[0].point, a.ends[1].point,
+        got = [(a.id, a.type, a.ends[0], a.ends[1],
                 a.crossings, a.edge) for a in seq.arcs]
         assert got == [
             (0, "inside-under", 3, 5, (0,), None),
@@ -110,7 +110,7 @@ class TestFrozenWalks:
         est = ExtendedSpanningTree(edges=spanning_tree(cx),
                                    faces=frozenset())
         seq = boundary_sequence(est, cx)
-        got = [(a.type, a.ends[0].point, a.ends[1].point, a.crossings)
+        got = [(a.type, a.ends[0], a.ends[1], a.crossings)
                for a in seq.arcs]
         assert got == [
             ("inside-under", 0, 5, (0,)),
@@ -182,7 +182,7 @@ class TestVerifier:
         cuts = {p.id for p in seq.points if p.kind == "edge-cut"}
         if field == "darts":
             k, arc = next((k, a) for k, a in enumerate(seq.arcs)
-                          if a.darts and a.ends[0].point in cuts)
+                          if a.darts and a.ends[0] in cuts)
             bad = dataclasses.replace(arc, darts=(value,) + arc.darts[1:])
             want = f"structure: darts out of range: [{value}]"
         else:
@@ -237,7 +237,7 @@ class TestRepair:
             (1, "near-vertex"), (3, "near-vertex"),
             (3, "near-vertex"), (1, "near-vertex"),
         ]
-        got = [(a.id, a.type, a.ends[0].point, a.ends[1].point, a.crossings)
+        got = [(a.id, a.type, a.ends[0], a.ends[1], a.crossings)
                for a in fixed.arcs]
         assert got == [
             (0, "inside-under", 5, 1, (0, 1)),

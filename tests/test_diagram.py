@@ -106,6 +106,20 @@ def test_wide_row_message_is_cut():
         f"crossing {quoted} has 30000 labels, expected 4"
 
 
+@pytest.mark.parametrize("bad", [
+    "PD[" + ", ".join(f"X({4 * c + 1},{4 * c + 2},{4 * c + 3},{4 * c + 4})"
+                      for c in range(7_500)) + "]",
+    f"PD[X({'9' * 4_000},{'8' * 4_000},2,2)]",
+], ids=["lone-labels", "long-labels"])
+def test_label_count_message_is_cut(bad):
+    """Labels that do not occur twice are listed up to 40 characters:
+    30,000 lone labels, or two 4,000-digit ones, give a short message."""
+    with pytest.raises(tp.PDSyntaxError) as err:
+        tp.parse_pd(bad)
+    assert str(err.value).startswith("arc labels must appear exactly twice: ")
+    assert len(str(err.value)) < 200
+
+
 def test_dart_arithmetic():
     assert [rotate(dart_id(1, s)) for s in range(4)] == [5, 6, 7, 4]
     assert [slot_of(dart_id(2, s)) for s in range(4)] == [0, 1, 2, 3]

@@ -8,16 +8,19 @@ NSIS search agree whenever both finish, and greedy never beats them.
 On small components the subcomplex enumeration agrees with the exact
 search too, and every CLI row keeps the walk's point counts.  A row,
 of damaged input too, repeats exactly, with the exit code its failure
-names.  Each property runs over braid closures and over random grid
-diagrams, where greedy is sometimes not optimal.
+names.  A certified inside arc with its two ends swapped is refused.
+Each property runs over braid closures and over random grid diagrams,
+where greedy is sometimes not optimal.
 """
 
+import dataclasses
 import re
 
 import pytest
 
 import threepage as tp
 from threepage import cli
+from threepage.binding import OUTSIDE
 from threepage.spanning import face_set_feasible, oracle_max_faces
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -106,6 +109,36 @@ def test_repair_and_bound_on_grids(text):
         if d.n >= 3 and d.is_reduced():
             cert = tp.certify(d)
             assert cert.verified and len(cert.final.points) <= 3 * d.n - 1
+
+
+def check_swapped_ends_refused(text):
+    """An inside arc's ends are two point ids whose order follows its
+    darts, so an inside arc of a certified sequence with its ends swapped
+    is refused by verify_binding with a structure offender."""
+    for d in components(text):
+        final = tp.certify(d).final
+        for k, a in enumerate(final.arcs):
+            if a.type == OUTSIDE:
+                continue
+            arcs = list(final.arcs)
+            arcs[k] = dataclasses.replace(a, ends=a.ends[::-1])
+            swapped = dataclasses.replace(final, arcs=tuple(arcs))
+            report = tp.verify_binding(swapped, d)
+            assert not report.ok and not report.c1_structure, a
+            assert any(s.startswith("structure: ")
+                       for s in report.offenders), a
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_closures())
+def test_swapped_inside_ends_are_refused(text):
+    check_swapped_ends_refused(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_diagrams())
+def test_swapped_inside_ends_are_refused_on_grids(text):
+    check_swapped_ends_refused(text)
 
 
 def check_oracle_and_row(text):
