@@ -220,40 +220,41 @@ def cut_vertices(nbrs, alive, root: int) -> tuple[set[int], int]:
     value the cut set of the whole subgraph.
     """
     disc = [-1] * len(nbrs)
-    low = [0] * len(nbrs)
     disc[root] = 0
     reached = 1
     out: set[int] = set()
     root_children = 0
-    # The stack is the tree path from root, so a vertex's tree parent is
-    # the entry below it.  The edge back to the parent may lower low[v]
-    # to disc[parent]; that leaves the cut test low[v] >= disc[parent]
+    # The stack holds the tree path from root, each entry (vertex,
+    # iterator, low) of a vertex whose child is on top; the top vertex
+    # lives in v, it and low.  The edge back to the parent may lower low
+    # to disc[parent]; that leaves the cut test low >= disc[parent]
     # unchanged, so parallel edges need no special case either.
-    stack = [(root, iter(nbrs[root]))]
-    while stack:
-        v, it = stack[-1]
+    v, it, low = root, iter(nbrs[root]), 0
+    stack = []
+    while True:
         for u in it:
             if alive[u]:
                 du = disc[u]
                 if du < 0:
-                    disc[u] = low[u] = reached
+                    disc[u] = reached
+                    stack.append((v, it, low))
+                    v, it, low = u, iter(nbrs[u]), reached
                     reached += 1
-                    stack.append((u, iter(nbrs[u])))
                     break
-                if du < low[v]:
-                    low[v] = du
+                if du < low:
+                    low = du
         else:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                lv = low[v]
-                if lv < low[p]:
-                    low[p] = lv
-                if lv >= disc[p]:
-                    if p == root:
-                        root_children += 1
-                    else:
-                        out.add(p)
+            if not stack:
+                break
+            p, it, low_p = stack.pop()
+            if low >= disc[p]:
+                if p == root:
+                    root_children += 1
+                else:
+                    out.add(p)
+            if low_p < low:
+                low = low_p
+            v = p
     if root_children > 1:
         out.add(root)
     return out, reached
@@ -348,19 +349,20 @@ def _include_first_search(order, budget: int, include, undo):
     """Largest set of candidates that include() accepts one by one.
 
     The package's one exact-search loop, for both the face search and
-    the NSIS search.  include(v) adds v to the current set and returns
-    the later candidates that v rules out, or None, changing nothing,
-    when v cannot join; undo(v) reverts the include of v, the last one
-    still in place.  Joining must be hereditary (a set that cannot take
-    v never can once it grows), so the bound "chosen + remaining
-    candidates" prunes soundly.
+    the NSIS search.  include(v, rest, room) adds v to the current set
+    and returns the child's candidates, the ones in rest (those after v)
+    that v leaves, or None, changing nothing, when v cannot join; undo(v)
+    reverts the include of v, the last one still in place.  Joining must
+    be hereditary (a set that cannot take v never can once it grows), so
+    the bound "chosen + remaining candidates" prunes soundly.  A child
+    with at most room candidates is pruned unread, so an include that has
+    shown its exact list fits in room may return any list that fits.
 
     Depth-first with an explicit stack, including the next candidate
     before excluding it, so no input size can exhaust the recursion
     limit.  Every node counts before the budget check; past the budget
-    the best set so far comes back with exact False.  An include drops
-    the ruled-out candidates in O(candidates).  Returns (best set in
-    include order, nodes, exact).
+    the best set so far comes back with exact False.  Returns (best set
+    in include order, nodes, exact).
     """
     chosen: list = []
     best: tuple = ()
@@ -380,14 +382,14 @@ def _include_first_search(order, budget: int, include, undo):
         if len(chosen) + len(candidates) - start <= len(best):
             continue
         v = candidates[start]
-        ruled_out = include(v)
-        if ruled_out is None:
+        kept = include(v, candidates[start + 1:],
+                       max(len(best) - len(chosen) - 1, 0))
+        if kept is None:
             stack.append((candidates, start + 1, False))
         else:
             chosen.append(v)
             stack.append((candidates, start + 1, True))
-            stack.append(([u for u in candidates[start + 1:]
-                           if u not in ruled_out], 0, False))
+            stack.append((kept, 0, False))
     return best, nodes, True
 
 

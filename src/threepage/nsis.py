@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .diagram import _include_first_search, cut_vertices
-from .errors import DiagramError
+from .errors import DiagramError, InternalError
 
 _DISCONNECTED = "nsis search requires a connected graph"
 
@@ -110,12 +110,14 @@ def nsis_exact(graph: SimpleGraph, budget: int = 10_000_000) -> NsisResult:
     falling degree.  A vertex joins when the residual (the vertices not
     chosen) stays connected without it, which valid sets need all along the
     way; it then rules out its neighbors, which keeps the set independent,
-    and the residual's cut vertices, which can never join.  Trying a vertex
-    is one cut_vertices pass over the residual, O(V + E) on neighbor tuples
-    and a bytearray, whose reach is the connectivity answer; one more pass
-    on the whole graph checks the input and gives the start cut.  Putting a
-    vertex back costs O(1).  Neither the cut set nor the connectivity answer
-    depends on the numbering, so the nodes visited do not either.
+    and the residual's cut vertices, which can never join.  So every
+    candidate joins a non-empty residual, and only a child the bound does
+    not prune needs the cut set: one cut_vertices pass over the residual,
+    O(V + E) on neighbor tuples and a bytearray.  One more pass on the
+    whole graph checks the input and gives the start cut; a final is_nsis
+    check guards the result.  Putting a vertex back costs O(1).  Neither
+    the cut set nor the connectivity answer depends on the numbering, so
+    the nodes visited do not either.
     """
     ids, nbrs = graph._ids, graph._nbrs
     residual = bytearray(b"\x01") * len(ids)
@@ -123,14 +125,17 @@ def nsis_exact(graph: SimpleGraph, budget: int = 10_000_000) -> NsisResult:
     if not ids or reached != len(ids):
         raise DiagramError(_DISCONNECTED)
 
-    def include(v):
+    def include(v, rest, room):
         residual[v] = 0
         root = residual.find(1)
         if root >= 0:
+            near = nbrs[v]
+            kept = [u for u in rest if u not in near]
+            if len(kept) <= room:
+                return kept
             cut, reached = cut_vertices(nbrs, residual, root)
             if reached == residual.count(1):
-                cut.update(nbrs[v])
-                return cut
+                return [u for u in kept if u not in cut]
         residual[v] = 1
         return None
 
@@ -140,8 +145,10 @@ def nsis_exact(graph: SimpleGraph, budget: int = 10_000_000) -> NsisResult:
     order = sorted(range(len(ids)), key=lambda i: (-len(nbrs[i]), i))
     best, nodes, exact = _include_first_search(
         [i for i in order if i not in start_cut], budget, include, undo)
-    return NsisResult(size=len(best), vertices=frozenset(ids[i] for i in best),
-                      exact=exact, nodes=nodes)
+    vertices = frozenset(ids[i] for i in best)
+    if not is_nsis(graph, vertices):
+        raise InternalError("nsis search returned a set that is not an NSIS")
+    return NsisResult(len(best), vertices, exact, nodes)
 
 
 def nsis_greedy_leafy(graph: SimpleGraph, seed: int = 0) -> frozenset[int]:

@@ -178,9 +178,15 @@ def exact_max_faces(cx: CellComplex, budget: int = 10_000_000) -> SearchResult:
     """
     adj = cx.dual_graph().adjacency
     forest = _Forest(cx.n)
+
+    def include(f, rest, room):
+        if not forest.add_face(f, cx):
+            return None
+        near = adj[f]
+        return [u for u in rest if u not in near]
+
     best, nodes, exact = _include_first_search(
-        _face_order(cx, "by-dual-degree", 0), budget,
-        lambda f: adj[f] if forest.add_face(f, cx) else None,
+        _face_order(cx, "by-dual-degree", 0), budget, include,
         lambda f: forest.undo())
     return SearchResult(m=len(best), est=complete_to_est(best, cx),
                         exact=exact, nodes=nodes)

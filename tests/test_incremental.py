@@ -1193,6 +1193,48 @@ def test_searches_match_references(text):
         check_searches(d)
 
 
+@settings(max_examples=60, deadline=None)
+@given(grid_diagrams())
+def test_searches_match_references_on_grids(text):
+    for d in components(text):
+        check_searches(d)
+
+
+@st.composite
+def connected_graphs(draw, max_size=14):
+    """Connected SimpleGraphs without classes: a random spanning tree,
+    each vertex hung from an earlier one (from vertex 0 alone for a star),
+    so paths and pendant vertices occur, plus random extra edges, with
+    the ids shuffled through relabel."""
+    size = draw(st.integers(1, max_size))
+    star = draw(st.booleans())
+    edges = {(0 if star else draw(st.integers(0, v - 1)), v)
+             for v in range(1, size)}
+    if size > 1:
+        edges |= draw(st.sets(st.sampled_from(
+            list(itertools.combinations(range(size), 2))), max_size=2 * size))
+    adj = {v: set() for v in range(size)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    graph = tp.SimpleGraph(vertices=tuple(range(size)),
+                           adjacency={v: frozenset(adj[v]) for v in adj})
+    ids = draw(st.lists(st.integers(0, 5 * max_size), min_size=size,
+                        max_size=size, unique=True))
+    return relabel(graph, dict(enumerate(ids)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_nsis_matches_reference_on_arbitrary_graphs(graph):
+    """The search's invariant (every candidate a non-cut vertex of the
+    residual, next to no chosen one) holds on any connected graph, not
+    only on planar duals."""
+    for budget in (1, 2, 3, 7, 40, 10_000_000):
+        got = tp.nsis_exact(graph, budget=budget)
+        assert got == reference_nsis_exact(graph, budget=budget), budget
+
+
 RELABEL_BUDGETS = (3, 40, 250)
 
 
@@ -1279,6 +1321,34 @@ def test_articulation_points_match_reference(text, data):
     independent = all(not adj[v] & verts for v in verts)
     assert tp.is_nsis(graph, verts) == \
         (independent and reference_connected(rest, adj))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(grid_diagrams(), kinked_closures()), st.data())
+def test_articulation_points_on_multigraph_lists(text, data):
+    """cut_vertices on the crossing graph's lists as is_reduced builds
+    them, where parallel edges repeat a neighbor and a loop lists its own
+    crossing, over random live subsets from random live roots: the reach
+    is the root's component, and its cut set is that component's."""
+    d = components(text)[0]
+    far = [y >> 2 for y in d._opposite]
+    nbrs = [far[x:x + 4] for x in range(0, len(far), 4)]
+    adj = dict(enumerate(nbrs))
+    live = data.draw(st.sets(st.sampled_from(range(d.n)), min_size=1))
+    root = data.draw(st.sampled_from(sorted(live)))
+    alive = bytearray(d.n)
+    for v in live:
+        alive[v] = 1
+    cut, reached = cut_vertices(nbrs, alive, root)
+    comp, frontier = {root}, [root]
+    while frontier:
+        for u in nbrs[frontier.pop()]:
+            if u in live and u not in comp:
+                comp.add(u)
+                frontier.append(u)
+    assert reached == len(comp)
+    assert (reached == len(live)) == reference_connected(live, adj)
+    assert cut == reference_articulation_points(comp, adj)
 
 
 def test_connectivity_of_empty_and_split_graphs():
@@ -1545,6 +1615,20 @@ def test_exact_searches_make_one_pass_per_node(monkeypatch):
     assert res.exact and res.nodes > 100
     assert connected == []       # no is_connected() up front
     assert len(passes) < res.nodes
+    # the start pass, one pass for each of the 59 expanded children and
+    # the final is_nsis check; a child the bound prunes unread runs none
+    assert res.nodes == 215 and len(passes) == 61
+
+
+def test_nsis_exact_checks_its_result(monkeypatch):
+    """The final is_nsis check stands in for the reach checks that pruned
+    children skip: a result it refuses is an InternalError."""
+    from threepage import nsis
+    graph = tp.CellComplex(tp.parse_pd(TREFOIL)).dual_graph()
+    assert tp.nsis_exact(graph).size > 0
+    monkeypatch.setattr(nsis, "is_nsis", lambda graph, subset: False)
+    with pytest.raises(tp.InternalError, match="not an NSIS"):
+        tp.nsis_exact(graph)
 
 
 def outcome(fn, *args):
