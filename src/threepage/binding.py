@@ -6,7 +6,8 @@ each edge of Y (where the walk first passes it), two on every other edge
 (near its two endpoints).  Between cuts the link falls apart into arcs of
 three types: middles of non-Y edges (outside), and per-crossing strand
 pieces (inside, all-under or all-over).  This module builds the cyclic
-sequence by a corner walk, repairs it where a non-alternating edge joins
+sequence by one loop over the darts, which for Y a lone crossing is the
+circle round crossing 0, repairs it where a non-alternating edge joins
 two arcs of the same type, and verifies the four defining conditions of a
 binding circle.
 """
@@ -176,10 +177,12 @@ def boundary_sequence(est: ExtendedSpanningTree,
                       cx: CellComplex) -> BindingSequence:
     """Unrepaired cut sequence of the boundary walk around est, 3n+1-m points.
 
-    Each tree edge is cut where the walk first passes it.  One pass over
-    the flat per-dart lists of the diagram: the walk goes from a tree
-    dart u to the first tree dart after opposite(u) in rotation order,
-    and cuts near every non-tree dart it rotates past on the way.
+    One loop over the flat per-dart lists of the diagram.  At a tree dart
+    the walk cuts its edge on the first pass and crosses to the opposite
+    dart; at any other dart it cuts near the crossing.  Either way it
+    rotates on, until it is back at start: the first tree dart outside
+    Y's faces, or dart 0 when the tree is empty (n = 1, m = 0), so the
+    walk circles crossing 0 with near-vertex cuts at darts 0-3.
     """
     _require_valid(est, cx)
     d = cx.diagram
@@ -187,43 +190,37 @@ def boundary_sequence(est: ExtendedSpanningTree,
     edge_of, opposite = d._edge_of_dart, d._opposite
     points: list[BindingPoint] = []
     at = [-1] * len(edge_of)    # the binding point at each dart's cut
-
-    if not tree:    # n - 1 + m = 0 edges: one crossing, no faces
-        for x in range(4):
-            at[x] = x
-            points.append(BindingPoint(x, edge_of[x], KIND_NEAR, x))
-    else:
-        in_tree = list(map(tree.__contains__, edge_of))
-        # Darts of the faces of Y; the walk goes round all other tree darts.
-        inner = set().union(*map(cx.faces.__getitem__, est.faces))
-        start = next(x for x, t in enumerate(in_tree) if t and x not in inner)
-        orbit = []
-        cuts = 0
-        u = start
-        while True:
-            orbit.append(u)
-            if at[u] < 0:
-                at[u] = at[opposite[u]] = k = len(points)
-                points.append(BindingPoint(k, edge_of[u], KIND_EDGE_CUT, u))
+    in_tree = list(map(tree.__contains__, edge_of))
+    # Darts of the faces of Y; the walk goes round all other tree darts.
+    inner = set().union(*map(cx.faces.__getitem__, est.faces))
+    start = next((x for x, t in enumerate(in_tree) if t and x not in inner),
+                 0)
+    orbit = []
+    cuts = 0
+    x = start
+    while True:
+        if in_tree[x]:
+            orbit.append(x)
+            if at[x] < 0:
+                at[x] = at[opposite[x]] = k = len(points)
+                points.append(BindingPoint(k, edge_of[x], KIND_EDGE_CUT, x))
                 cuts += 1
-            x = opposite[u]
-            x = x + 1 if x & 3 != 3 else x - 3
-            while not in_tree[x]:
-                at[x] = k = len(points)
-                points.append(BindingPoint(k, edge_of[x], KIND_NEAR, x))
-                x = x + 1 if x & 3 != 3 else x - 3
-            if x == start:
-                break
-            u = x
-        walked = 2 * len(tree) - len(inner)
-        if len(orbit) > walked:
-            raise InternalError("boundary walk does not close")
-        if len(orbit) != walked or not inner.isdisjoint(orbit):
-            raise InternalError("boundary walk missed tree darts")
-        if cuts != len(tree):
-            raise InternalError("some tree edge was never cut")
-        if len(points) - cuts != 2 * (d.edge_count - len(tree)):
-            raise InternalError("near-vertex cut count mismatch")
+            x = opposite[x]
+        else:
+            at[x] = k = len(points)
+            points.append(BindingPoint(k, edge_of[x], KIND_NEAR, x))
+        x = x + 1 if x & 3 != 3 else x - 3
+        if x == start:
+            break
+    walked = 2 * len(tree) - len(inner)
+    if len(orbit) > walked:
+        raise InternalError("boundary walk does not close")
+    if len(orbit) != walked or not inner.isdisjoint(orbit):
+        raise InternalError("boundary walk missed tree darts")
+    if cuts != len(tree):
+        raise InternalError("some tree edge was never cut")
+    if len(points) - cuts != 2 * (d.edge_count - len(tree)):
+        raise InternalError("near-vertex cut count mismatch")
 
     arcs: list[Arc] = []
     for c in range(d.n):

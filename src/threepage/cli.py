@@ -171,7 +171,7 @@ def analyze_entry(name: str, body: str, config: RunConfig) -> tuple[dict, int]:
         row["notes"].extend(p["notes"])
     if len(parts) > 1:
         row["notes"].append(f"split: bound summed over {len(parts)} components")
-    witnesses = [p["witness"] for p in parts if p["witness"] not in (None, "skipped")]
+    witnesses = [p["witness"] for p in parts if p["witness"] != "skipped"]
     row["witness"] = witnesses[0] if witnesses else "skipped"
 
     row["verified"] = all(p["verified"] for p in parts)
@@ -245,10 +245,8 @@ def _format_csv(rows: list[dict]) -> str:
 
 def _nsis_report(rows: list[dict]) -> dict:
     """nsis_ratio_report over the rows with crossings and an NSIS size."""
-    return nsis_ratio_report([
-        {"name": r["name"], "n": r["n"], "nsis_max": r["nsis_max"],
-         "m_max": r["m_max"]}
-        for r in rows if r.get("nsis_max") is not None and r.get("n")])
+    return nsis_ratio_report(
+        [r for r in rows if r.get("nsis_max") is not None and r.get("n")])
 
 
 def _format_json(rows: list[dict], severity: int, config: RunConfig) -> str:
@@ -258,7 +256,7 @@ def _format_json(rows: list[dict], severity: int, config: RunConfig) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _format_text(rows: list[dict], severity: int, config: RunConfig) -> str:
+def _format_text(rows: list[dict], config: RunConfig) -> str:
     lines = []
     for row in rows:
         if row.get("failure"):
@@ -330,7 +328,7 @@ def run(path: str, config: RunConfig, out=None) -> int:
         elif config.fmt == "json":
             out.write(_format_json(rows, severity, config))
         else:
-            out.write(_format_text(rows, severity, config))
+            out.write(_format_text(rows, config))
     return severity
 
 

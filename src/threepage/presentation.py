@@ -189,9 +189,6 @@ def overlay_reconstruct(pres: ThreePagePresentation) -> OverlayResult:
 
     ones = [i for i, c in enumerate(pres.chords) if c.page == 1]
     twos = [i for i, c in enumerate(pres.chords) if c.page == 2]
-    if not ones and not twos:
-        return OverlayResult(supported=True, pd_text="PD[]",
-                             diagram=PlaneDiagram([]))
 
     # Pair up the inside chords; the pairing must be a bijection.
     hits: dict[int, list[int]] = {i: [] for i in ones}

@@ -7,6 +7,7 @@ import threepage as tp
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CORPUS_PATH = os.path.join(DATA_DIR, "corpus.txt")
+DEGENERATE_PATH = os.path.join(DATA_DIR, "degenerate.txt")
 
 # One braid-closure generator: the benchmark's.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))

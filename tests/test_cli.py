@@ -12,6 +12,7 @@ from threepage.cli import CSV_COLUMNS, main
 from conftest import (
     CORPUS_PATH,
     CORPUS_TEXTS,
+    DEGENERATE_PATH,
     FIGURE_EIGHT,
     HOPF,
     NON_SPHERE,
@@ -228,6 +229,21 @@ class TestBounds:
             "split", body, cli.RunConfig(exact=True, nsis=True, budget=20))
         assert severity == cli.OK and row["components"] == 2
         assert row["m_mode"] == "exact(budget-hit)"
+
+    def test_budget_hit_before_any_face(self, capsys):
+        """At budget 1 the search stops before it takes a face, so every
+        one-crossing component is walked round its empty tree."""
+        code, out, _ = run_cli(["batch", DEGENERATE_PATH, "--exact",
+                                "--budget", "1"], capsys)
+        assert code == 0
+        rows = [r for r in csv_rows(out) if r["n"] != "0"]
+        assert rows and all(
+            (r["m_mode"], r["m"], r["verified"]) ==
+            ("exact(budget-hit)", "0", "true") for r in rows)
+        kinks = [r for r in rows if r["name"].startswith(("kink_", "split"))]
+        assert kinks and all(
+            r["points_before"] == r["bound"] == str(4 * int(r["n"]))
+            for r in kinks)
 
     def test_empty_code_is_one_arc(self, tmp_path, capsys):
         path = write_entries(tmp_path, ["unknot: PD[]"])

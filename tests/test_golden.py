@@ -4,9 +4,12 @@ Every `batch` format under every flag set below, and every SVG that
 `render` writes, is reduced to its sha256 and compared with
 tests/data/golden.json, together with the exit code.  The SVGs matter:
 a wrong orientation of a merged arc leaves CSV, JSON and text unchanged
-but moves chord ends in the pictures.
+but moves chord ends in the pictures.  tests/data/degenerate.txt gets
+the same treatment against tests/data/degenerate.json: its kinks, split
+kinks and empty code reach the walk around a tree with no edge, which
+the reduced diagrams of the corpus never do.
 
-After a deliberate change of output, rewrite the file with
+After a deliberate change of output, rewrite both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -26,6 +29,10 @@ from threepage.cli import main
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CORPUS_PATH = os.path.join(DATA_DIR, "corpus.txt")
 GOLDEN_PATH = os.path.join(DATA_DIR, "golden.json")
+DEGENERATE_PATH = os.path.join(DATA_DIR, "degenerate.txt")
+DEGENERATE_GOLDEN_PATH = os.path.join(DATA_DIR, "degenerate.json")
+CORPORA = ((CORPUS_PATH, GOLDEN_PATH),
+           (DEGENERATE_PATH, DEGENERATE_GOLDEN_PATH))
 
 FORMATS = ("csv", "json", "text")
 FLAG_SETS = (
@@ -53,34 +60,44 @@ def _main(argv) -> tuple[int, bytes]:
     return code, buf.getvalue().encode("utf-8")
 
 
-def golden_digests() -> dict:
+def golden_digests(corpus_path: str) -> dict:
     """{key: "<exit code> <sha256>"} for every output checked."""
     out = {}
     for flags in FLAG_SETS:
         tag = " ".join(flags) or "default"
         for fmt in FORMATS:
-            code, data = _main(["batch", CORPUS_PATH, "--format", fmt, *flags])
+            code, data = _main(["batch", corpus_path, "--format", fmt, *flags])
             out[f"batch {fmt} {tag}"] = f"{code} {_sha(data)}"
         with tempfile.TemporaryDirectory() as tmp:
-            code, _ = _main(["render", CORPUS_PATH, tmp, *flags])
+            code, _ = _main(["render", corpus_path, tmp, *flags])
             for name in sorted(os.listdir(tmp)):
                 with open(os.path.join(tmp, name), "rb") as fh:
                     out[f"render {tag} {name}"] = f"{code} {_sha(fh.read())}"
     return out
 
 
-def test_cli_output_matches_golden():
-    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+def check_golden(corpus_path: str, golden_path: str) -> None:
+    with open(golden_path, encoding="utf-8") as fh:
         want = json.load(fh)
-    got = golden_digests()
+    got = golden_digests(corpus_path)
     assert sorted(got) == sorted(want)
     changed = [key for key in sorted(want) if got[key] != want[key]]
     assert changed == []
 
 
+def test_cli_output_matches_golden():
+    check_golden(CORPUS_PATH, GOLDEN_PATH)
+
+
+def test_degenerate_output_matches_golden():
+    check_golden(DEGENERATE_PATH, DEGENERATE_GOLDEN_PATH)
+
+
 if __name__ == "__main__":
-    digests = golden_digests()
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
-        json.dump(digests, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN_PATH}", file=sys.stderr)
+    for corpus_path, golden_path in CORPORA:
+        digests = golden_digests(corpus_path)
+        with open(golden_path, "w", encoding="utf-8") as fh:
+            json.dump(digests, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {len(digests)} digests to {golden_path}",
+              file=sys.stderr)

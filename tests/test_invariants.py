@@ -6,7 +6,8 @@ face set is feasible exactly when it is a non-separating independent set
 (NSIS) of the simple dual.  Hence the exact face search and the exact
 NSIS search agree whenever both finish, and greedy never beats them.
 On small components the subcomplex enumeration agrees with the exact
-search too, and every CLI row keeps the walk's point counts.  A row,
+search too, and every CLI row keeps the walk's point counts, as does
+every certificate, on its greedy or exact tree.  A row,
 of damaged input too, repeats exactly, with the exit code its failure
 names.  A certified inside arc with its two ends swapped is refused.
 Each property runs over braid closures and over random grid diagrams,
@@ -29,7 +30,7 @@ given, settings = hypothesis.given, hypothesis.settings
 
 from test_incremental import (  # noqa: E402
     FIXED_DIAGRAMS, ORDERS, check_repair, components, grid_diagrams,
-    split_closures)
+    non_alternating, split_closures)
 
 BUDGET = 2_000
 
@@ -109,6 +110,32 @@ def test_repair_and_bound_on_grids(text):
         if d.n >= 3 and d.is_reduced():
             cert = tp.certify(d)
             assert cert.verified and len(cert.final.points) <= 3 * d.n - 1
+
+
+def check_certified_counts(text):
+    """On every component, with the greedy tree and with the tree of an
+    exact search at BUDGET, the walk certify presents has 3n + 1 - m
+    points, and repair removes one per non-alternating tree edge, a(Y)."""
+    for d in components(text):
+        for config in (tp.RunConfig(), tp.RunConfig(exact=True,
+                                                    budget=BUDGET)):
+            cert = tp.certify(d, config)
+            assert len(cert.raw.points) == \
+                3 * d.n + 1 - len(cert.tree.faces), config
+            assert len(cert.raw.points) - len(cert.final.points) == \
+                non_alternating(cert.tree, d), config
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_closures())
+def test_certified_counts(text):
+    check_certified_counts(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_diagrams())
+def test_certified_counts_on_grids(text):
+    check_certified_counts(text)
 
 
 def check_swapped_ends_refused(text):

@@ -6,7 +6,7 @@ import pytest
 
 import threepage as tp
 from threepage import cli, pipeline
-from threepage.binding import INSIDE_OVER, INSIDE_UNDER
+from threepage.binding import INSIDE_OVER, INSIDE_UNDER, KIND_NEAR
 
 from conftest import CORPUS_NAMES, HOPF, KINK, TREFOIL_SWITCHED
 
@@ -56,6 +56,24 @@ def test_no_repair_presents_the_raw_walk():
 def test_kink_certificate():
     cert = tp.certify(tp.parse_pd(KINK), tp.RunConfig(exact=True))
     assert cert.verified and cert.presentation.bound == 2
+
+
+@pytest.mark.parametrize("text", [KINK, "PD[X(2,1,1,2)]",
+                                  "PD[X(1,1,2,2), X(4,3,3,4)]"])
+@pytest.mark.parametrize("config, m_mode", [
+    (tp.RunConfig(extend=False), "tree-only"),
+    (tp.RunConfig(exact=True, budget=1), "exact(budget-hit)")])
+def test_treeless_walk_circles_crossing_0(text, config, m_mode):
+    """A one-crossing component with no face has an empty tree, without
+    extension or when the search stops before it takes a face.  Its
+    circle cuts near darts 0-3 in turn, and repair leaves it alone."""
+    for d in tp.parse_pd(text).connected_components():
+        cert = tp.certify(d, config)
+        assert cert.m_mode == m_mode and not cert.tree.edges
+        assert [(p.kind, p.anchor_dart) for p in cert.raw.points] == \
+            [(KIND_NEAR, x) for x in range(4)]
+        assert cert.final.points == cert.raw.points
+        assert cert.verified and cert.presentation.bound == 4
 
 
 def test_failing_pages_give_an_unverified_row(monkeypatch):
