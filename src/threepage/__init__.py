@@ -11,9 +11,9 @@ dual-graph NSIS reformulation and brute-force oracles cross-check the
 search layers.
 """
 
-from .binding import (ARC_TYPES, PAGE_BY_TYPE, Arc, BindingPoint,
-                      BindingReport, BindingSequence, boundary_sequence,
-                      chords_cross, repair, verify_binding)
+from .binding import (ARC_TYPES, Arc, BindingPoint, BindingReport,
+                      BindingSequence, boundary_sequence, repair,
+                      verify_binding)
 from .cells import (CellComplex, Subcomplex, complement_components,
                     euler_characteristic, is_closed, is_contractible,
                     subcomplex_components)
@@ -23,10 +23,10 @@ from .errors import DiagramError, InternalError, PDSyntaxError
 from .nsis import (NsisResult, SimpleGraph, is_nsis, nsis_exact,
                    nsis_greedy_leafy, nsis_ratio_report)
 from .pipeline import Certificate, RunConfig, certify
-from .presentation import (Chord, OverlayResult, PageReport,
-                           ThreePagePresentation, interleaving_pairs,
-                           overlay_reconstruct, render_svg, to_presentation,
-                           verify_pages)
+from .presentation import (PAGE_BY_TYPE, Chord, OverlayResult, PageReport,
+                           ThreePagePresentation, chords_cross,
+                           interleaving_pairs, overlay_reconstruct,
+                           render_svg, to_presentation, verify_pages)
 from .spanning import (ExtendedSpanningTree, SearchResult, Witness,
                        complete_to_est, exact_max_faces, face_set_feasible,
                        greedy_max_faces, oracle_max_faces, spanning_tree,

@@ -9,7 +9,8 @@ pieces (inside, all-under or all-over).  This module builds the cyclic
 sequence by one loop over the darts, which for Y a lone crossing is the
 circle round crossing 0, repairs it where a non-alternating edge joins
 two arcs of the same type, and verifies the four defining conditions of a
-binding circle.
+binding circle.  Flattening the circle into a book, with its chord
+geometry and page convention, is presentation.py's.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ OUTSIDE = "outside"
 INSIDE_UNDER = "inside-under"
 INSIDE_OVER = "inside-over"
 ARC_TYPES = (OUTSIDE, INSIDE_UNDER, INSIDE_OVER)
-
-# Page convention: under-passages open the book, over-passages sit above
-# them, edge middles go outside.
-PAGE_BY_TYPE = {INSIDE_UNDER: 1, INSIDE_OVER: 2, OUTSIDE: 3}
 
 KIND_EDGE_CUT = "edge-cut"
 KIND_NEAR = "near-vertex"
@@ -79,76 +76,6 @@ class BindingReport:
     c3_types: bool
     c4_alternation: bool
     offenders: tuple[str, ...]
-
-
-def chords_cross(a1: int, b1: int, a2: int, b2: int) -> bool:
-    """Transversal crossing of chords {a1,b1}, {a2,b2} on a circle.
-
-    Positions must satisfy a <= b.  Chords sharing an endpoint do not
-    cross: they can always be pushed apart inside the disk.
-    """
-    if {a1, b1} & {a2, b2}:
-        return False
-    inside1 = a1 < a2 < b1
-    inside2 = a1 < b2 < b1
-    return inside1 != inside2
-
-
-def crossing_pairs(spans) -> list[tuple[int, int]]:
-    """All index pairs (i, j), i < j, whose chords cross, sorted.
-
-    Equal to filtering itertools.combinations(range(len(spans)), 2) by
-    chords_cross, spans given as (a, b) with a <= b: two chords cross iff
-    a_i < a_j < b_i < b_j.  One sweep keeps a stack of the open chords.
-    An a == b chord crosses nothing and is never pushed.  At one position
-    chords close before any opens, the later-opened first, and of chords
-    opening together the longer is pushed first.  So when j closes, the
-    chords above it are those with a_j < a_i < b_j < b_i: exactly the ones
-    j crosses, and none that only shares an end with j.  They are popped,
-    reported and pushed back.  O(P log P) for the sorts of P chords and
-    O(P + K) for the sweep with K crossing pairs, so O(P) after the sorts
-    on a planar page.
-    """
-    lefts = [a for a, _ in spans]
-    rights = [b for _, b in spans]
-    # Open order: by left end, longer first, then by index; closes by
-    # right end, later-opened first.  The sorts are stable.
-    live = [j for j in range(len(spans)) if lefts[j] < rights[j]]
-    live.sort(key=rights.__getitem__, reverse=True)
-    opened = sorted(live, key=lefts.__getitem__)
-    stack: list[int] = []
-    out = []
-    k = 0
-    for j in sorted(reversed(opened), key=rights.__getitem__):
-        while k < len(opened) and lefts[opened[k]] < rights[j]:
-            stack.append(opened[k])
-            k += 1
-        i = stack.pop()
-        if i != j:
-            above = []
-            while i != j:
-                above.append(i)
-                i = stack.pop()
-            out += [(i, j) if i < j else (j, i) for i in above]
-            stack += reversed(above)
-    out.sort()
-    return out
-
-
-def same_page_crossings(spans, pages) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, of crossing chords on one page, sorted.
-
-    One crossing_pairs scan per page, so the cost is that of the scans.
-    """
-    by_page: dict[int, list[int]] = {}
-    for i, page in enumerate(pages):
-        by_page.setdefault(page, []).append(i)
-    out = []
-    for idx in by_page.values():
-        out.extend((idx[x], idx[y])
-                   for x, y in crossing_pairs([spans[i] for i in idx]))
-    out.sort()
-    return out
 
 
 def _require_valid(est: ExtendedSpanningTree, cx: CellComplex) -> None:

@@ -23,7 +23,7 @@ import re
 import sys
 
 from .diagram import PlaneDiagram, parse_pd
-from .errors import DiagramError, InternalError, PDSyntaxError
+from .errors import DiagramError, PDSyntaxError
 from .nsis import nsis_exact, nsis_greedy_leafy, nsis_ratio_report
 from .pipeline import RunConfig, certify
 from .presentation import render_svg
@@ -148,9 +148,6 @@ def analyze_entry(name: str, body: str, config: RunConfig) -> tuple[dict, int]:
     except DiagramError as exc:
         row["failure"] = f"validation: {exc}"
         return row, VALIDATION
-    except InternalError as exc:
-        row["failure"] = f"verification: {exc}"
-        return row, VERIFICATION
     except Exception as exc:  # a bug; keep the other rows going
         import traceback  # only on this path: it costs start-up time
         traceback.print_exc(file=sys.stderr)
@@ -262,9 +259,10 @@ def _format_text(rows: list[dict], config: RunConfig) -> str:
         if row.get("failure"):
             lines.append(f"{row['name']}: FAIL {row['failure']}")
         else:
-            bits = [f"n={row['n']}", f"components={row['components']}",
-                    f"reduced={'yes' if row['reduced'] else 'no'}",
-                    f"alternating={'yes' if row['alternating'] else 'no'}"]
+            bits = [f"n={row['n']}", f"components={row['components']}"]
+            for key in ("reduced", "alternating"):    # None on PD[]
+                if row[key] is not None:
+                    bits.append(f"{key}={'yes' if row[key] else 'no'}")
             if row.get("faces") is not None:
                 bits += [f"F={row['faces']}", f"m={row['m']}({row['m_mode']})",
                          f"points={row['points_before']}/{row['points_after']}"]

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: syntax errors from the PD reader are
 exit 1 and structural validation failures exit 2.  Exit 3 marks a
 verification failure: a row whose presentation the verifiers rejected
-(verified = false), or an InternalError raised while building it.
+(verified = false), or a bug.  An InternalError is a bug like any other
+exception: its row fails as ``internal: InternalError: <message>``.
 """
 
 

@@ -3,10 +3,11 @@
 A binding sequence flattens to a chord diagram: binding points around a
 circle (clockwise), every arc a chord on one of three pages.  Page 1
 carries under-passages, page 2 over-passages, page 3 the edge middles
-outside the circle.  The chord count is the certified upper bound this
-package exists to produce, so this module also carries the independent
-checks: book-embedding verification, and reconstruction of a diagram
-from nothing but the chord data for a round-trip comparison.
+outside the circle (PAGE_BY_TYPE).  This module owns the chord geometry
+(chords_cross, crossing_pairs).  The chord count is the certified upper
+bound this package exists to produce, so this module also carries the
+independent checks: book-embedding verification, and reconstruction of
+a diagram from nothing but the chord data for a round-trip comparison.
 """
 
 from __future__ import annotations
@@ -16,9 +17,66 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .binding import (PAGE_BY_TYPE, BindingSequence, crossing_pairs,
-                      same_page_crossings)
+from .binding import INSIDE_OVER, INSIDE_UNDER, OUTSIDE, BindingSequence
 from .diagram import PlaneDiagram
+
+# Page convention: under-passages open the book, over-passages sit above
+# them, edge middles go outside.
+PAGE_BY_TYPE = {INSIDE_UNDER: 1, INSIDE_OVER: 2, OUTSIDE: 3}
+
+
+def chords_cross(a1: int, b1: int, a2: int, b2: int) -> bool:
+    """Transversal crossing of chords {a1,b1}, {a2,b2} on a circle.
+
+    Positions must satisfy a <= b.  Chords sharing an endpoint do not
+    cross: they can always be pushed apart inside the disk.
+    """
+    if {a1, b1} & {a2, b2}:
+        return False
+    inside1 = a1 < a2 < b1
+    inside2 = a1 < b2 < b1
+    return inside1 != inside2
+
+
+def crossing_pairs(spans) -> list[tuple[int, int]]:
+    """All index pairs (i, j), i < j, whose chords cross, sorted.
+
+    Equal to filtering itertools.combinations(range(len(spans)), 2) by
+    chords_cross, spans given as (a, b) with a <= b: two chords cross iff
+    a_i < a_j < b_i < b_j.  One sweep keeps a stack of the open chords.
+    An a == b chord crosses nothing and is never pushed.  At one position
+    chords close before any opens, the later-opened first, and of chords
+    opening together the longer is pushed first.  So when j closes, the
+    chords above it are those with a_j < a_i < b_j < b_i: exactly the ones
+    j crosses, and none that only shares an end with j.  They are popped,
+    reported and pushed back.  O(P log P) for the sorts of P chords and
+    O(P + K) for the sweep with K crossing pairs, so O(P) after the sorts
+    on a planar page.
+    """
+    lefts = [a for a, _ in spans]
+    rights = [b for _, b in spans]
+    # Open order: by left end, longer first, then by index; closes by
+    # right end, later-opened first.  The sorts are stable.
+    live = [j for j in range(len(spans)) if lefts[j] < rights[j]]
+    live.sort(key=rights.__getitem__, reverse=True)
+    opened = sorted(live, key=lefts.__getitem__)
+    stack: list[int] = []
+    out = []
+    k = 0
+    for j in sorted(reversed(opened), key=rights.__getitem__):
+        while k < len(opened) and lefts[opened[k]] < rights[j]:
+            stack.append(opened[k])
+            k += 1
+        i = stack.pop()
+        if i != j:
+            above = []
+            while i != j:
+                above.append(i)
+                i = stack.pop()
+            out += [(i, j) if i < j else (j, i) for i in above]
+            stack += reversed(above)
+    out.sort()
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,8 +169,8 @@ def verify_pages(pres: ThreePagePresentation) -> PageReport:
         bad_deg.append(f"bound {pres.bound!r:.40} is not the arc count "
                        f"{len(pres.chords)}")
     at_point: dict[int, list[Chord]] = {pid: [] for pid in position}
-    placed, spans = [], []
-    for ch in pres.chords:
+    placed: dict[int, list[int]] = {}    # page: indices of placed chords
+    for k, ch in enumerate(pres.chords):
         if ch.page not in (1, 2, 3):
             bad_pages.append(f"arc {ch.arc} on unknown page {ch.page}")
         for pid in (ch.a, ch.b):
@@ -121,9 +179,7 @@ def verify_pages(pres: ThreePagePresentation) -> PageReport:
             else:
                 bad_deg.append(f"arc {ch.arc} ends at unknown point {pid}")
         if ch.a in position and ch.b in position:
-            x, y = position[ch.a], position[ch.b]
-            placed.append(ch)
-            spans.append((x, y) if x <= y else (y, x))
+            placed.setdefault(ch.page, []).append(k)
     for pid in pres.points:
         here = at_point[pid]
         if len(here) != 2:
@@ -133,8 +189,12 @@ def verify_pages(pres: ThreePagePresentation) -> PageReport:
                 f"point {pid} joins two page-{here[0].page} arcs "
                 f"({here[0].arc}, {here[1].arc})")
 
-    for i, j in same_page_crossings(spans, [ch.page for ch in placed]):
-        c1, c2 = placed[i], placed[j]
+    pairs = []
+    for idx in placed.values():
+        spans = [pres.span(pres.chords[k]) for k in idx]
+        pairs += [(idx[x], idx[y]) for x, y in crossing_pairs(spans)]
+    for i, j in sorted(pairs):
+        c1, c2 = pres.chords[i], pres.chords[j]
         bad_planar.append(f"page-{c1.page} arcs {c1.arc} and {c2.arc} "
                           f"interleave")
 
@@ -234,7 +294,8 @@ def overlay_reconstruct(pres: ThreePagePresentation) -> OverlayResult:
         return (last, far)
 
     # Rays: one per inside chord endpoint; slots from circle order with
-    # slot 0 on the under chord's smaller position.
+    # slot 0 on the under chord's smaller position.  The two chords
+    # interleave, so the rays lie on pages 1, 2, 1, 2.
     slot_rays: list[list[tuple[int, int]]] = []
     for under_idx, over_idx in crossings:
         u, o = pres.chords[under_idx], pres.chords[over_idx]
@@ -242,13 +303,7 @@ def overlay_reconstruct(pres: ThreePagePresentation) -> OverlayResult:
                       for idx, pid in ((under_idx, u.a), (under_idx, u.b),
                                        (over_idx, o.a), (over_idx, o.b)))
         start = min(k for k in range(4) if quad[k][1] == under_idx)
-        rays = [(quad[(start + k) % 4][1], quad[(start + k) % 4][2])
-                for k in range(4)]
-        if [pres.chords[i].page for i, _ in rays] != [1, 2, 1, 2]:
-            return OverlayResult(
-                supported=False,
-                reason="crossing rays do not alternate under/over")
-        slot_rays.append(rays)
+        slot_rays.append([quad[(start + k) % 4][1:] for k in range(4)])
 
     all_rays = set(itertools.chain.from_iterable(slot_rays))
     label_of: dict[tuple[int, int], int] = {}

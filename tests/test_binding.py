@@ -195,6 +195,27 @@ class TestVerifier:
         assert not rep.ok and not rep.c1_structure
         assert want in rep.offenders, rep.offenders
 
+    @pytest.mark.parametrize("tamper, want", [
+        # arc 1 takes arc 0's id
+        (lambda a: dataclasses.replace(a, id=0) if a.id == 1 else a,
+         "structure: duplicate arc ids"),
+        # arc 1, the over-strand of crossing 0, claims the under-strand's
+        # darts 0 and 2
+        (lambda a: dataclasses.replace(a, darts=(0, 2)) if a.id == 1 else a,
+         "structure: dart 0 in arcs 0 and 1"),
+        # both strands of crossing 0 retyped as edge middles
+        (lambda a: dataclasses.replace(a, type=OUTSIDE)
+         if a.crossings == (0,) else a,
+         "coverage: crossings passed by no inside arc: [0]"),
+    ], ids=["duplicate-arc-id", "dart-in-two-arcs", "uncovered-crossing"])
+    def test_tampered_arcs_named(self, tamper, want):
+        d, cx, est, seq = build(TREFOIL)
+        assert [(a.id, a.darts) for a in seq.arcs if a.crossings == (0,)] \
+            == [(0, (0, 2)), (1, (1, 3))]
+        arcs = tuple(map(tamper, seq.arcs))
+        rep = verify_binding(dataclasses.replace(seq, arcs=arcs), d)
+        assert not rep.ok and want in rep.offenders, rep.offenders
+
     def test_alternation_offenders_named(self):
         d, cx, est, seq = build(HOPF_SWITCHED)
         rep = verify_binding(seq, d)

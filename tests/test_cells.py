@@ -94,6 +94,11 @@ def test_subcomplex_euler_and_closure():
     open_sub = Subcomplex(vertices=frozenset(range(3)),
                           edges=frozenset(), faces=frozenset({0}))
     assert not tp.is_closed(open_sub, cx)
+    # an edge without its endpoints is not closed either
+    bare_edge = Subcomplex(vertices=frozenset(), edges=frozenset({0}),
+                           faces=frozenset())
+    with pytest.raises(tp.DiagramError, match="^subcomplex is not closed$"):
+        tp.euler_characteristic(bare_edge, cx)
 
 
 def test_subcomplex_components_counts():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from threepage import cli
+from threepage import InternalError, cli
 from threepage.cli import CSV_COLUMNS, main
 
 from conftest import (
@@ -160,32 +160,38 @@ class TestExitCodes:
 
     def test_unexpected_exception_fails_one_row(self, tmp_path, capsys,
                                                 monkeypatch):
+        """Any exception a step is not documented to raise, InternalError
+        included, fails its own row as internal and exits 3."""
         inner = cli.certify
-
-        def certify(comp, config=None):
-            if comp.n == 3:
-                raise KeyError("boom")
-            return inner(comp, config)
-
-        monkeypatch.setattr(cli, "certify", certify)
         path = write_entries(tmp_path, [
             f"hopf: {HOPF}",
             f"trefoil: {TREFOIL}",
             f"eight: {FIGURE_EIGHT}",
         ])
-        code, out, err = run_cli(["batch", path], capsys)
-        assert code == 3
-        rows = {r["name"]: r for r in csv_rows(out)}
-        assert rows["trefoil"]["failure"] == "internal: KeyError: 'boom'"
-        assert rows["trefoil"]["bound"] == ""
-        assert [rows[k]["verified"] for k in ("hopf", "eight")] == \
-            ["true", "true"]
-        assert "KeyError" in err
-        code, out, _ = run_cli(["batch", path, "--format", "text"], capsys)
-        assert code == 3
-        assert "trefoil: FAIL internal: KeyError: 'boom'" in out
-        assert out.splitlines()[-1] == \
-            "summary: ok=2 parse=0 validation=0 verification=1"
+        for exc, failure in [
+                (KeyError("boom"), "internal: KeyError: 'boom'"),
+                (InternalError("boom"), "internal: InternalError: boom")]:
+
+            def certify(comp, config=None, exc=exc):
+                if comp.n == 3:
+                    raise exc
+                return inner(comp, config)
+
+            monkeypatch.setattr(cli, "certify", certify)
+            code, out, err = run_cli(["batch", path], capsys)
+            assert code == 3
+            rows = {r["name"]: r for r in csv_rows(out)}
+            assert rows["trefoil"]["failure"] == failure
+            assert rows["trefoil"]["bound"] == ""
+            assert [rows[k]["verified"] for k in ("hopf", "eight")] == \
+                ["true", "true"]
+            assert "Traceback" in err and type(exc).__name__ in err
+            code, out, _ = run_cli(["batch", path, "--format", "text"],
+                                   capsys)
+            assert code == 3
+            assert f"trefoil: FAIL {failure}" in out
+            assert out.splitlines()[-1] == \
+                "summary: ok=2 parse=0 validation=0 verification=1"
 
 
 class TestBounds:
@@ -253,6 +259,11 @@ class TestBounds:
         assert int(row["bound"]) == 1
         assert row["n"] == "0"
         assert "no crossings" in row["notes"]
+        # PD[] has no reduced or alternating value (blank cells above), so
+        # its text line names neither.
+        code, out, _ = run_cli(["batch", path, "--format", "text"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "unknot: n=0 components=1 bound=1"
 
 
 class TestColumnsAndFormats:

@@ -25,16 +25,17 @@ import pytest
 import threepage as tp
 from threepage import binding, diagram, presentation, spanning
 from threepage.binding import (INSIDE_OVER, INSIDE_UNDER, KIND_EDGE_CUT,
-                               KIND_NEAR, OUTSIDE, PAGE_BY_TYPE, Arc,
-                               BindingPoint, BindingReport, BindingSequence,
-                               chords_cross, crossing_pairs)
+                               KIND_NEAR, OUTSIDE, Arc, BindingPoint,
+                               BindingReport, BindingSequence)
 from threepage.cells import (Subcomplex, complement_components,
                              subcomplex_components)
 from threepage.diagram import (PlaneDiagram, _Forest, crossing_of,
                                cut_vertices, dart_id, rotate)
 from threepage.errors import PDSyntaxError
 from threepage.nsis import NsisResult
-from threepage.presentation import Chord, PageReport, ThreePagePresentation
+from threepage.presentation import (PAGE_BY_TYPE, Chord, PageReport,
+                                    ThreePagePresentation, chords_cross,
+                                    crossing_pairs)
 from threepage.spanning import (ExtendedSpanningTree, SearchResult,
                                  complete_to_est, face_set_feasible)
 
@@ -1563,10 +1564,7 @@ def test_default_path_makes_no_quadratic_calls(monkeypatch):
     tp.witness_pair(cx)
     assert feasible == []
 
-    crossed = counting(monkeypatch, binding, "chords_cross")
-    # also count calls through a name imported into presentation
-    monkeypatch.setattr(presentation, "chords_cross", binding.chords_cross,
-                        raising=False)
+    crossed = counting(monkeypatch, presentation, "chords_cross")
     seq = tp.boundary_sequence(est, cx)
     pres = tp.to_presentation(tp.repair(seq, cx.diagram))
     assert tp.verify_pages(pres).ok

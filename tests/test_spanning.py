@@ -1,10 +1,11 @@
 import pytest
 
 import threepage as tp
+from threepage.cli import read_entries
 from threepage.spanning import face_set_feasible
 
-from conftest import (GRID_GREEDY_GAP, HOPF, KINK, TREFOIL, TWO_CLASPS,
-                      braid_closure_pd, torus_pd, tree_subcomplex)
+from conftest import (DEGENERATE_PATH, GRID_GREEDY_GAP, HOPF, KINK, TREFOIL,
+                      TWO_CLASPS, braid_closure_pd, torus_pd, tree_subcomplex)
 
 # frozen maximum face counts; n <= 6 values confirmed by the
 # subcomplex-enumeration oracle, larger ones pinned from exact search
@@ -118,6 +119,9 @@ def test_greedy_orders():
     assert r1 == tp.greedy_max_faces(cx, order="random", seed=3)
     hopf_cx = tp.CellComplex(tp.parse_pd(HOPF))
     assert len(tp.greedy_max_faces(hopf_cx).faces) == 1
+    with pytest.raises(tp.DiagramError,
+                       match="^unknown greedy order: sideways$"):
+        tp.greedy_max_faces(cx, order="sideways")
 
 
 def test_greedy_falls_short_on_a_grid_diagram():
@@ -179,7 +183,12 @@ def test_witness_pair_preconditions_and_gap():
     with pytest.raises(tp.DiagramError):
         tp.witness_pair(tp.CellComplex(tp.parse_pd(HOPF)))     # n < 3
     with pytest.raises(tp.DiagramError):
-        tp.witness_pair(tp.CellComplex(tp.parse_pd(KINK)))     # not reduced
+        tp.witness_pair(tp.CellComplex(tp.parse_pd(KINK)))     # n < 3
+    kinked_hopf = next(body for name, body, _ in read_entries(DEGENERATE_PATH)
+                       if name == "kinked_hopf")
+    with pytest.raises(tp.DiagramError,
+                       match="^witness search requires a reduced diagram$"):
+        tp.witness_pair(tp.CellComplex(tp.parse_pd(kinked_hopf)))
     # composite diagram: feasible pairs exist but never share a crossing,
     # so the local certificate is honestly reported as missing
     clasps = tp.CellComplex(tp.parse_pd(TWO_CLASPS))
