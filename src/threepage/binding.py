@@ -61,11 +61,8 @@ class Arc:
 class BindingSequence:
     points: tuple[BindingPoint, ...]  # cyclic order of the walk
     arcs: tuple[Arc, ...]
-    n: int
-    m: int
+    tree: ExtendedSpanningTree  # the Y walked around
     repaired: bool
-    tree_edges: frozenset[int]
-    tree_faces: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -159,9 +156,7 @@ def boundary_sequence(est: ExtendedSpanningTree,
             arcs.append(Arc(len(arcs), OUTSIDE, (at[d1], at[d2]), (), (), e))
 
     return BindingSequence(points=tuple(points), arcs=tuple(arcs),
-                           n=d.n, m=len(est.faces), repaired=False,
-                           tree_edges=frozenset(tree),
-                           tree_faces=frozenset(est.faces))
+                           tree=est, repaired=False)
 
 
 def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
@@ -172,7 +167,8 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
     both crossing runs, and drops one point.  A cut both of whose ends
     belong to one arc is left alone: removing it would close the arc into
     a circle with no binding point at all.  So is a cut without exactly
-    two arc ends, which verify_binding reports.  Idempotent.
+    two arc ends, which verify_binding reports.  Idempotent.  d is not
+    read; it stays because the acceptance tests call repair(seq, d).
 
     Pass 1 joins arcs in a union-find, once over the edge cuts in circle
     order: a cut that is not removable never becomes so, so this removes
@@ -226,8 +222,7 @@ def repair(seq: BindingSequence, d: PlaneDiagram) -> BindingSequence:
     return BindingSequence(
         points=tuple([q for q in seq.points if q.id not in removed]),
         arcs=tuple(map(out.__getitem__, sorted(out))),
-        n=seq.n, m=seq.m, repaired=True,
-        tree_edges=seq.tree_edges, tree_faces=seq.tree_faces)
+        tree=seq.tree, repaired=True)
 
 
 def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
@@ -244,7 +239,7 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
     bad2: list[str] = []
     bad3: list[str] = []
     bad4: list[str] = []
-    points, arcs, tree = seq.points, seq.arcs, seq.tree_edges
+    points, arcs, tree = seq.points, seq.arcs, seq.tree.edges
     edge_of, ndarts = d._edge_of_dart, 4 * d.n
 
     by_id = {p.id: p for p in points}
@@ -254,9 +249,10 @@ def verify_binding(seq: BindingSequence, d: PlaneDiagram) -> BindingReport:
         bad1.append(f"{len(points)} points but {len(arcs)} arcs")
     if len({a.id for a in arcs}) != len(arcs):
         bad1.append("duplicate arc ids")
-    if not seq.repaired and len(points) != 3 * seq.n + 1 - seq.m:
+    expected = 3 * d.n + 1 - len(seq.tree.faces)
+    if not seq.repaired and len(points) != expected:
         bad1.append(f"unrepaired sequence has {len(points)} points, "
-                    f"expected {3 * seq.n + 1 - seq.m}")
+                    f"expected {expected}")
 
     ends_at: dict[int, list[Arc]] = {pid: [] for pid in by_id}
     for a in arcs:

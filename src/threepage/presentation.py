@@ -12,7 +12,6 @@ a diagram from nothing but the chord data for a round-trip comparison.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,7 +91,6 @@ class Chord:
 class ThreePagePresentation:
     points: tuple[int, ...]  # binding point ids, clockwise
     chords: tuple[Chord, ...]
-    repaired: bool
     bound: int
 
     @cached_property
@@ -106,15 +104,6 @@ class ThreePagePresentation:
         """Chord endpoints as circle positions, low first."""
         x, y = self._position[chord.a], self._position[chord.b]
         return (x, y) if x <= y else (y, x)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": list(self.points),
-            "arcs": [{"a": c.a, "b": c.b, "page": c.page,
-                      "crossings": list(c.crossings)} for c in self.chords],
-            "bound": self.bound,
-            "repaired": self.repaired,
-        }
 
 
 @dataclass(frozen=True)
@@ -144,8 +133,7 @@ def to_presentation(seq: BindingSequence) -> ThreePagePresentation:
     chords = tuple([Chord(*arc.ends, PAGE_BY_TYPE[arc.type], arc.crossings,
                           arc.id) for arc in seq.arcs])
     return ThreePagePresentation(points=tuple([p.id for p in seq.points]),
-                                 chords=chords, repaired=seq.repaired,
-                                 bound=len(seq.points))
+                                 chords=chords, bound=len(seq.points))
 
 
 def verify_pages(pres: ThreePagePresentation) -> PageReport:
@@ -305,7 +293,6 @@ def overlay_reconstruct(pres: ThreePagePresentation) -> OverlayResult:
         start = min(k for k in range(4) if quad[k][1] == under_idx)
         slot_rays.append([quad[(start + k) % 4][1:] for k in range(4)])
 
-    all_rays = set(itertools.chain.from_iterable(slot_rays))
     label_of: dict[tuple[int, int], int] = {}
     next_label = 1
     for rays in slot_rays:
@@ -313,7 +300,8 @@ def overlay_reconstruct(pres: ThreePagePresentation) -> OverlayResult:
             if ray in label_of:
                 continue
             dest = trace(*ray)
-            if dest is None or dest not in all_rays:
+            # The matching is perfect, so every page-1/2 chord end is a ray.
+            if dest is None:
                 return OverlayResult(
                     supported=False,
                     reason="strand leaves the inside chords and never "
@@ -322,11 +310,9 @@ def overlay_reconstruct(pres: ThreePagePresentation) -> OverlayResult:
             next_label += 1
 
     rows = [tuple(label_of[ray] for ray in rays) for rays in slot_rays]
-    try:
-        diagram = PlaneDiagram(rows)
-    except ValueError as exc:
-        return OverlayResult(supported=False,
-                             reason=f"reassembled code is invalid: {exc}")
+    # Every point has degree 2, so trace pairs the rays off: each label
+    # appears exactly twice and the code is valid.
+    diagram = PlaneDiagram(rows)
     return OverlayResult(supported=True, pd_text=diagram.pd_text(),
                          diagram=diagram)
 

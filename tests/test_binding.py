@@ -20,7 +20,8 @@ from threepage import (
 )
 
 from threepage import cli, pipeline
-from threepage.binding import OUTSIDE
+from threepage.binding import (INSIDE_UNDER, KIND_EDGE_CUT, OUTSIDE, Arc,
+                               BindingPoint, BindingSequence)
 
 from conftest import HOPF, KINK, TREFOIL, TREFOIL_SWITCHED
 
@@ -68,7 +69,7 @@ class TestFrozenWalks:
             (4, 3, "near-vertex"),
             (5, 1, "near-vertex"),
         ]
-        assert seq.n == 2 and seq.m == 1
+        assert seq.tree is est and d.n == 2 and len(seq.tree.faces) == 1
         assert not seq.repaired
 
     def test_hopf_m1_arcs(self):
@@ -151,7 +152,7 @@ class TestPointCounts:
             n = cx.diagram.n
             m = len(est.faces)
             assert len(seq.points) == 3 * n + 1 - m, name
-            assert seq.m == m
+            assert seq.tree is est
 
 
 class TestVerifier:
@@ -267,6 +268,26 @@ class TestRepair:
             (5, "outside", 4, 2, ()),
         ]
         assert verify_binding(fixed, d).ok
+
+    def test_cut_joining_one_arc_to_itself_stays(self):
+        """Two under arcs meet at both cuts: the first cut merges them,
+        and the second, with both ends on the merged arc, stays, since
+        removing it would close the arc into a circle."""
+        d = parse_pd(HOPF)
+        seq = BindingSequence(
+            points=(BindingPoint(0, 0, KIND_EDGE_CUT, 0),
+                    BindingPoint(1, 1, KIND_EDGE_CUT, 2)),
+            arcs=(Arc(0, INSIDE_UNDER, (0, 1), (0,), (0, 2), None),
+                  Arc(1, INSIDE_UNDER, (0, 1), (1,), (4, 6), None)),
+            tree=ExtendedSpanningTree(edges=frozenset({0, 1}),
+                                      faces=frozenset()),
+            repaired=False)
+        fixed = repair(seq, d)
+        assert [p.id for p in fixed.points] == [1]
+        assert [(a.id, a.ends) for a in fixed.arcs] == [(0, (1, 1))]
+        assert repair(fixed, d) == fixed
+        assert ("alternation: point 1 joins arcs 0 and 0 of type "
+                "inside-under") in verify_binding(fixed, d).offenders
 
     @pytest.mark.parametrize("repair_on", [True, False])
     def test_lost_arc_is_a_structure_failure(self, monkeypatch, repair_on):

@@ -24,6 +24,14 @@ def test_parse_brackets_and_text_roundtrip():
     assert tp.parse_pd(d.pd_text()) == d
 
 
+def test_hash_and_repr():
+    a = tp.parse_pd(HOPF)
+    b = tp.PlaneDiagram([(1, 4, 2, 3), (3, 2, 4, 1)])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert repr(a) == "PlaneDiagram([X(1, 4, 2, 3), X(3, 2, 4, 1)])"
+
+
 @pytest.mark.parametrize("bad", [
     "PD[X(1,2,3)]",                      # arity
     "PD[X(1,2,3,4,5)]",                  # arity

@@ -266,8 +266,7 @@ def reference_repair(seq, d):
     return binding.BindingSequence(
         points=tuple(points),
         arcs=tuple(sorted(arcs.values(), key=lambda a: a.id)),
-        n=seq.n, m=seq.m, repaired=True,
-        tree_edges=seq.tree_edges, tree_faces=seq.tree_faces)
+        tree=seq.tree, repaired=True)
 
 
 def reference_one_pass_repair(seq, d):
@@ -320,8 +319,7 @@ def reference_one_pass_repair(seq, d):
     return BindingSequence(
         points=tuple([q for q in seq.points if q.id not in removed]),
         arcs=tuple(map(arcs.__getitem__, sorted(arcs))),
-        n=seq.n, m=seq.m, repaired=True,
-        tree_edges=seq.tree_edges, tree_faces=seq.tree_faces)
+        tree=seq.tree, repaired=True)
 
 
 _REFERENCE_LABEL_RE = re.compile(r"0*[1-9][0-9]*")
@@ -489,12 +487,11 @@ def reference_boundary_sequence(est, cx):
                         crossings=(), darts=(), edge=e))
 
     seq = BindingSequence(points=tuple(points), arcs=tuple(arcs),
-                          n=d.n, m=len(est.faces), repaired=False,
-                          tree_edges=frozenset(tree),
-                          tree_faces=frozenset(est.faces))
-    if len(seq.points) != 3 * seq.n + 1 - seq.m:
+                          tree=est, repaired=False)
+    if len(seq.points) != 3 * d.n + 1 - len(est.faces):
         raise InternalError(
-            f"expected {3 * seq.n + 1 - seq.m} cuts, emitted {len(seq.points)}")
+            f"expected {3 * d.n + 1 - len(est.faces)} cuts, "
+            f"emitted {len(seq.points)}")
     return seq
 
 
@@ -514,9 +511,10 @@ def reference_verify_binding(seq, d):
         bad1.append(f"{len(seq.points)} points but {len(seq.arcs)} arcs")
     if len({a.id for a in seq.arcs}) != len(seq.arcs):
         bad1.append("duplicate arc ids")
-    if not seq.repaired and len(seq.points) != 3 * seq.n + 1 - seq.m:
+    expected = 3 * d.n + 1 - len(seq.tree.faces)
+    if not seq.repaired and len(seq.points) != expected:
         bad1.append(f"unrepaired sequence has {len(seq.points)} points, "
-                    f"expected {3 * seq.n + 1 - seq.m}")
+                    f"expected {expected}")
 
     ends_at: dict[int, list[Arc]] = {pid: [] for pid in by_id}
     for a in seq.arcs:
@@ -537,21 +535,21 @@ def reference_verify_binding(seq, d):
             bad1.append(f"point {p.id} anchored off its edge")
             continue
         if p.kind == KIND_EDGE_CUT:
-            if p.edge not in seq.tree_edges:
+            if p.edge not in seq.tree.edges:
                 bad1.append(f"edge cut {p.id} on non-tree edge {p.edge}")
             cut_edges[p.edge] = cut_edges.get(p.edge, 0) + 1
         elif p.kind == KIND_NEAR:
-            if p.edge in seq.tree_edges:
+            if p.edge in seq.tree.edges:
                 bad1.append(f"near-vertex cut {p.id} on tree edge {p.edge}")
             near_anchors.setdefault(p.edge, []).append(p.anchor_dart)
         else:
             bad1.append(f"point {p.id} has unknown kind {p.kind!r}")
-    for e in sorted(seq.tree_edges):
+    for e in sorted(seq.tree.edges):
         k = cut_edges.get(e, 0)
         if k > 1 or (k == 0 and not seq.repaired):
             bad1.append(f"tree edge {e} carries {k} cuts")
     for e in range(d.edge_count):
-        if e in seq.tree_edges:
+        if e in seq.tree.edges:
             continue
         if sorted(near_anchors.get(e, [])) != sorted(d.edge_darts[e]):
             bad1.append(f"edge {e} near-vertex cuts misplaced")
@@ -570,7 +568,7 @@ def reference_verify_binding(seq, d):
         if a.type == OUTSIDE:
             if a.crossings or a.darts:
                 bad2.append(f"outside arc {a.id} passes {a.crossings}")
-            if a.edge is None or a.edge in seq.tree_edges:
+            if a.edge is None or a.edge in seq.tree.edges:
                 bad1.append(f"outside arc {a.id} on edge {a.edge}")
             else:
                 want = set(d.edge_darts[a.edge])
@@ -649,8 +647,7 @@ def reference_to_presentation(seq):
                          crossings=arc.crossings, arc=arc.id)
                    for arc in seq.arcs)
     return ThreePagePresentation(points=tuple(p.id for p in seq.points),
-                                 chords=chords, repaired=seq.repaired,
-                                 bound=len(seq.points))
+                                 chords=chords, bound=len(seq.points))
 
 
 def reference_verify_pages(pres):

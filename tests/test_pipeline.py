@@ -1,6 +1,7 @@
 """certify: one run of every step per component, each result kept."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -41,10 +42,21 @@ def test_exact_and_tree_only_modes():
     assert len(cert.final.points) == 3 * d.n + 1
 
 
+def test_readme_library_example(capsys):
+    """README's Library block runs and prints what its comments say."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    want = [line.split("# ", 1)[1] for line in block.splitlines()
+            if line.startswith("print(")]
+    exec(compile(block, str(readme), "exec"), {})
+    assert want and capsys.readouterr().out.splitlines() == want
+
+
 def test_no_repair_presents_the_raw_walk():
     d = tp.parse_pd(TREFOIL_SWITCHED)
     cert = tp.certify(d, tp.RunConfig(repair=False))
-    assert cert.final is cert.raw and not cert.presentation.repaired
+    assert cert.final is cert.raw and not cert.final.repaired
     assert cert.binding == tp.verify_binding(cert.raw, d)
     assert not cert.binding.c4_alternation and not cert.verified
     assert not cert.pages.pages_distinct_ok

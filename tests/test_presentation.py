@@ -23,7 +23,7 @@ from threepage import (
 
 from conftest import HOPF, KINK, TREFOIL, TREFOIL_SWITCHED
 
-EMPTY = ThreePagePresentation(points=(), chords=(), repaired=False, bound=0)
+EMPTY = ThreePagePresentation(points=(), chords=(), bound=0)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ class TestToPresentation:
     def test_bound_and_pages(self, hopf_pres):
         _, pres = hopf_pres
         assert pres.bound == len(pres.points) == 6
-        assert not pres.repaired
+        assert [len(c.crossings) for c in pres.chords] == [1, 1, 1, 1, 0, 0]
         assert [c.page for c in pres.chords] == [1, 2, 1, 2, 3, 3]
 
     def test_chord_endpoints_match_arcs(self, hopf_pres):
@@ -52,13 +52,6 @@ class TestToPresentation:
         assert [pres.position(p) for p in pres.points] == list(range(6))
         assert pres.span(pres.chords[0]) == (3, 5)
         assert pres.span(pres.chords[1]) == (0, 4)
-
-    def test_json_shape(self, hopf_pres):
-        _, pres = hopf_pres
-        d = pres.to_json_dict()
-        assert set(d) == {"points", "arcs", "bound", "repaired"}
-        assert d["bound"] == 6
-        assert d["arcs"][0] == {"a": 3, "b": 5, "page": 1, "crossings": [0]}
 
     def test_corrupted_sequence_rejected(self):
         # to_presentation only flattens; verify_binding, which certify
@@ -171,6 +164,44 @@ class TestOverlay:
         res = overlay_reconstruct(pres)
         assert not res.supported
         assert "single-passage" in res.reason
+
+    def test_strand_lost_outside_unsupported(self, hopf_pres):
+        # Page-3 chord (5, 1) split at a new point 6 right after 1: the
+        # strand from point 5 runs along two outside chords.
+        _, pres = hopf_pres
+        outside = pres.chords[4]
+        assert (outside.a, outside.b, outside.page) == (5, 1, 3)
+        chords = list(pres.chords)
+        chords[4] = dataclasses.replace(outside, b=6)
+        chords.append(dataclasses.replace(outside, a=6, arc=6))
+        points = list(pres.points)
+        points.insert(points.index(1) + 1, 6)
+        mutant = ThreePagePresentation(points=tuple(points),
+                                       chords=tuple(chords), bound=7)
+        rep = verify_pages(mutant)
+        assert rep.degree_ok and rep.planar_ok
+        res = overlay_reconstruct(mutant)
+        assert not res.supported
+        assert res.reason == ("strand leaves the inside chords and never "
+                              "returns to a crossing")
+
+    def test_unmatched_page_2_chord_unsupported(self, hopf_pres):
+        # New points 6 and 7 joined by a page-2 and a page-3 chord: the
+        # page-2 chord interleaves no page-1 chord.
+        _, pres = hopf_pres
+        over = pres.chords[1]
+        assert over.page == 2
+        chords = pres.chords + (
+            dataclasses.replace(over, a=6, b=7, crossings=(5,), arc=6),
+            dataclasses.replace(pres.chords[4], a=6, b=7, arc=7))
+        mutant = ThreePagePresentation(points=pres.points + (6, 7),
+                                       chords=chords, bound=8)
+        rep = verify_pages(mutant)
+        assert rep.degree_ok and rep.planar_ok
+        res = overlay_reconstruct(mutant)
+        assert not res.supported
+        assert res.reason == ("page-1/page-2 interleaving is not a perfect "
+                              "matching")
 
     def test_empty_gives_empty_code(self):
         res = overlay_reconstruct(EMPTY)
